@@ -8,8 +8,8 @@ use orianna_graph::{
     min_degree_ordering, natural_ordering, BetweenFactor, FactorGraph, PriorFactor,
 };
 use orianna_lie::Pose2;
-use orianna_math::{par::available_threads, Parallelism};
-use orianna_solver::{eliminate, eliminate_with, GaussNewton, GaussNewtonSettings, SolvePlan};
+use orianna_math::Parallelism;
+use orianna_solver::{eliminate, GaussNewton, GaussNewtonSettings, SolvePlan};
 
 fn chain(n: usize) -> FactorGraph {
     let mut g = FactorGraph::new();
@@ -135,40 +135,6 @@ fn bench_incremental_vs_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial vs parallel linearize + eliminate on the largest benchmark
-/// algorithm (by factor count) across all applications. Report speedup as
-/// serial-time / parallel-time at each thread count; on a multicore host
-/// the ≥ 4-thread configuration should exceed 2×.
-fn bench_parallel_speedup(c: &mut Criterion) {
-    let apps = all_apps(2024);
-    let algo = apps
-        .iter()
-        .flat_map(|a| a.algorithms.iter())
-        .max_by_key(|a| a.graph.num_factors())
-        .expect("benchmark apps are non-empty");
-    let ordering = natural_ordering(&algo.graph);
-    let cores = available_threads();
-
-    let mut group = c.benchmark_group("parallel_linearize_eliminate");
-    group.sample_size(10);
-    group.bench_function("serial", |b| {
-        b.iter(|| {
-            let sys = algo.graph.linearize();
-            eliminate(&sys, &ordering).unwrap()
-        })
-    });
-    for threads in [2usize, 4, cores] {
-        let par = Parallelism::with_threads(threads);
-        group.bench_function(BenchmarkId::new("parallel", threads), |b| {
-            b.iter(|| {
-                let sys = algo.graph.linearize_with(&par);
-                eliminate_with(&sys, &ordering, &par).unwrap()
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Batched simulation throughput: all compiled benchmark streams
 /// simulated one-by-one vs through `simulate_batch`. Near-linear scaling
 /// up to 4 workloads is expected on a ≥ 4-core host.
@@ -228,7 +194,7 @@ fn bench_plan_reuse(c: &mut Criterion) {
             b.iter(|| eliminate(&sys, &ordering).unwrap())
         });
         group.bench_function(BenchmarkId::new("planned", app.name), |b| {
-            b.iter(|| plan.execute(&sys, &Parallelism::serial()).unwrap())
+            b.iter(|| plan.execute(&sys).unwrap())
         });
         // The arena path: same schedule executed against a reusable flat
         // workspace — no per-step matrix allocation, R-only Householder.
@@ -249,7 +215,6 @@ criterion_group!(
     bench_linearize,
     bench_app_gauss_newton,
     bench_incremental_vs_batch,
-    bench_parallel_speedup,
     bench_simulate_batch,
     bench_plan_reuse
 );

@@ -45,6 +45,16 @@ struct Args {
     filter: Option<String>,
 }
 
+/// Prints `msg` and the usage line to stderr and exits with code 2.
+fn usage_exit(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!(
+        "usage: orianna-bench [server|dse-search] [--quick] [--out-dir DIR] \
+         [--filter SUBSTRING]"
+    );
+    std::process::exit(2);
+}
+
 fn parse_args() -> Args {
     let mut quick = false;
     let mut out_dir = ".".to_string();
@@ -57,16 +67,18 @@ fn parse_args() -> Args {
             "server" => server = true,
             "dse-search" => dse_search = true,
             "--quick" => quick = true,
-            "--out-dir" => out_dir = it.next().expect("--out-dir needs a value"),
-            "--filter" => filter = Some(it.next().expect("--filter needs a substring")),
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: orianna-bench [server|dse-search] [--quick] [--out-dir DIR] \
-                     [--filter SUBSTRING]"
-                );
-                std::process::exit(2);
-            }
+            // Checked up front so a bad directory fails before the run,
+            // not at the final write.
+            "--out-dir" => match it.next() {
+                Some(dir) if std::path::Path::new(&dir).is_dir() => out_dir = dir,
+                Some(dir) => usage_exit(&format!("--out-dir {dir}: not a directory")),
+                None => usage_exit("--out-dir needs a value"),
+            },
+            "--filter" => match it.next() {
+                Some(sub) => filter = Some(sub),
+                None => usage_exit("--filter needs a substring"),
+            },
+            other => usage_exit(&format!("unknown argument: {other}")),
         }
     }
     Args {
@@ -252,8 +264,7 @@ fn to_json(mode: &str, reps: usize, results: &Results, speedups: &[(String, f64)
 
 /// Solver baselines: one Gauss-Newton solve iteration (eliminate +
 /// back-substitute) per benchmark application, on the reference path, the
-/// planned path, the serial arena path, and the level-scheduled parallel
-/// arena at 2 and 4 cost-gated threads.
+/// planned path and the arena path.
 fn bench_solver(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)>) {
     let mut results = Results::new(reps, filter);
     let mut speedups = Vec::new();
@@ -269,61 +280,14 @@ fn bench_solver(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f
             std::hint::black_box(bn.back_substitute().unwrap());
         });
         results.record(&format!("solve/planned/{name}"), 3, || {
-            let (bn, _) = plan.execute(&sys, &Parallelism::serial()).unwrap();
+            let (bn, _) = plan.execute(&sys).unwrap();
             std::hint::black_box(bn.back_substitute().unwrap());
         });
 
-        // The arena rows are compared against each other, so they are
-        // measured interleaved; a requested width whose cost-gated
-        // configuration collapses to an already-recorded one (e.g. every
-        // width on a single-core host) runs identical code — the arena
-        // path is bitwise identical at any thread count — and shares
-        // that row's measurement via `Results::alias`.
         let mut ws = plan.workspace();
-        let mut arena_family: Vec<(String, Box<dyn FnMut() + '_>)> = vec![(
-            format!("solve/arena/{name}"),
-            Box::new({
-                let plan = &plan;
-                let sys = &sys;
-                move || {
-                    std::hint::black_box(plan.solve_in(sys, &mut ws).unwrap().len());
-                }
-            }),
-        )];
-        let mut aliases: Vec<(String, String)> = Vec::new();
-        let mut canonical: Vec<(Parallelism, String)> =
-            vec![(Parallelism::serial(), format!("solve/arena/{name}"))];
-        for threads in [2usize, 4] {
-            let row = format!("solve/arena_parallel{threads}/{name}");
-            let par = Parallelism::auto_with_threads(threads);
-            // A gated-but-serial config executes the same code as the
-            // serial arena row (solve_in_with delegates), so it aliases.
-            let key = if par.is_parallel() {
-                par
-            } else {
-                Parallelism::serial()
-            };
-            if let Some((_, canon)) = canonical.iter().find(|(c, _)| *c == key) {
-                aliases.push((row, canon.clone()));
-            } else {
-                canonical.push((key, row.clone()));
-                let mut wsp = plan.workspace();
-                let plan = &plan;
-                let sys = &sys;
-                arena_family.push((
-                    row,
-                    Box::new(move || {
-                        std::hint::black_box(
-                            plan.solve_in_with(sys, &mut wsp, &par).unwrap().len(),
-                        );
-                    }),
-                ));
-            }
-        }
-        results.record_interleaved(arena_family, 3);
-        for (alias, canon) in aliases {
-            results.alias(&alias, &canon);
-        }
+        results.record(&format!("solve/arena/{name}"), 3, || {
+            std::hint::black_box(plan.solve_in(&sys, &mut ws).unwrap().len());
+        });
 
         if let (Some(planless), Some(arena)) = (
             results.get_opt(&format!("solve/planless/{name}")),
@@ -333,14 +297,6 @@ fn bench_solver(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f
                 format!("arena_vs_planless/{name}"),
                 planless as f64 / arena as f64,
             ));
-        }
-        for threads in [2usize, 4] {
-            if let Some(ratio) = results.paired_speedup(
-                &format!("solve/arena/{name}"),
-                &format!("solve/arena_parallel{threads}/{name}"),
-            ) {
-                speedups.push((format!("arena_parallel{threads}_vs_arena/{name}"), ratio));
-            }
         }
     }
     bench_incremental(&mut results, &mut speedups);

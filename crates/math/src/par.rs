@@ -1,9 +1,11 @@
 //! Shared parallel-execution substrate.
 //!
 //! Every parallel path in the workspace (per-factor linearization in
-//! `orianna-graph`, independent-clique elimination in `orianna-solver`,
-//! batched simulation in `orianna-hw`) funnels through this module so the
-//! policy lives in one place:
+//! `orianna-graph`, batched simulation and DSE sweeps in `orianna-hw`,
+//! batch fan-out in `orianna-server`) funnels through this module so the
+//! policy lives in one place. Elimination itself is serial: the solver is
+//! the software reference, and elimination-tree parallelism belongs to
+//! the generated accelerator.
 //!
 //! * [`Parallelism`] — the user-facing knob: how many worker threads a
 //!   parallel section may use, and whether the cost model may gate a
@@ -36,7 +38,7 @@ use std::any::Any;
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 
@@ -283,34 +285,21 @@ impl std::error::Error for ParError {}
 /// whose context lives behind `ctx`.
 type RunFn = unsafe fn(ctx: *const (), id: usize);
 
-/// Claim-cursor value of a job with no active region: any id claimed
-/// from it is far beyond every plausible worker count, so a stale pool
-/// worker that wakes up between regions bails without touching the job's
-/// context. Far below `usize::MAX` so stray `fetch_add`s never wrap.
-const IDLE_CURSOR: usize = usize::MAX / 2;
-
 /// Shared state of one parallel region, published to the pool by
 /// reference count. The raw `ctx` pointer targets stack data of the
 /// dispatching caller; it is only dereferenced by workers that claimed an
 /// id `< workers` from `next`, and the caller does not return before
 /// `pending` reaches zero, so every dereference happens while the stack
-/// frame is alive.
-///
-/// `run`/`ctx`/`workers` are atomics so a [`WorkerTeam`] can reuse one
-/// `JobShared` allocation across regions: the caller rewrites them while
-/// the job is idle (`pending == 0`, `next == IDLE_CURSOR`) and then
-/// publishes the region with one release store of `next = 1`. A worker's
-/// acquire claim on `next` therefore orders its reads of `run`/`ctx`/
-/// `workers` after the caller's writes; workers woken through the
-/// injector queue are ordered by the queue mutex as well.
+/// frame is alive. The descriptor is fully built before it is published,
+/// and pool workers receive it through the injector queue's mutex, so
+/// `run`/`ctx`/`workers` need no atomics of their own.
 struct JobShared {
-    /// The region's entry point ([`RunFn`] bits; meaningless while idle).
-    run: AtomicUsize,
-    ctx: AtomicPtr<()>,
+    /// The region's entry point.
+    run: RunFn,
+    ctx: *const (),
     /// Total worker ids of this region (id 0 belongs to the caller).
-    workers: AtomicUsize,
-    /// Claim cursor: the next unclaimed worker id (starts at 1; parked at
-    /// [`IDLE_CURSOR`] between a reusable team's regions).
+    workers: usize,
+    /// Claim cursor: the next unclaimed worker id (starts at 1).
     next: AtomicUsize,
     /// Unfinished worker ids; the caller waits for this to hit zero.
     pending: AtomicUsize,
@@ -328,30 +317,12 @@ unsafe impl Send for JobShared {}
 unsafe impl Sync for JobShared {}
 
 impl JobShared {
-    /// A fresh job with the claim cursor parked: nothing runs until a
-    /// region is published.
-    fn idle() -> Self {
-        Self {
-            run: AtomicUsize::new(0),
-            ctx: AtomicPtr::new(std::ptr::null_mut()),
-            workers: AtomicUsize::new(0),
-            next: AtomicUsize::new(IDLE_CURSOR),
-            pending: AtomicUsize::new(0),
-            panic: Mutex::new(None),
-            done_lock: Mutex::new(()),
-            done_cv: Condvar::new(),
-        }
-    }
-
     /// Claims and runs worker ids until the cursor is exhausted. Shared
     /// by pool workers and (for ids the pool never took) the caller.
     fn service(&self) {
         loop {
-            // Acquire pairs with the release store of `next = 1` that
-            // published the region, ordering the `run`/`ctx`/`workers`
-            // reads below after the caller's writes.
             let id = self.next.fetch_add(1, Ordering::AcqRel);
-            if id >= self.workers.load(Ordering::Acquire) {
+            if id >= self.workers {
                 return;
             }
             self.run_one(id);
@@ -360,9 +331,11 @@ impl JobShared {
 
     /// Runs one claimed worker id under a panic guard and retires it.
     fn run_one(&self, id: usize) {
-        let run: RunFn = unsafe { std::mem::transmute(self.run.load(Ordering::Acquire)) };
-        let ctx: *const () = self.ctx.load(Ordering::Acquire);
-        let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { run(ctx, id) }));
+        // SAFETY: `id < workers` runs on exactly one thread (the caller
+        // owns id 0; every other id is claimed once from `next`), and the
+        // caller keeps `ctx`'s stack frame alive until `pending` hits
+        // zero (see [`JobShared`]).
+        let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { (self.run)(self.ctx, id) }));
         if let Err(payload) = outcome {
             let mut slot = self.panic.lock().expect("panic slot");
             slot.get_or_insert((id, payload));
@@ -512,9 +485,9 @@ where
         slots: slots.as_ptr(),
     };
     let job = Arc::new(JobShared {
-        run: AtomicUsize::new(run_one::<R, F> as RunFn as usize),
-        ctx: AtomicPtr::new((&ctx as *const Ctx<'_, R, F>).cast_mut().cast()),
-        workers: AtomicUsize::new(n),
+        run: run_one::<R, F>,
+        ctx: (&ctx as *const Ctx<'_, R, F>).cast(),
+        workers: n,
         next: AtomicUsize::new(1),
         pending: AtomicUsize::new(n),
         panic: Mutex::new(None),
@@ -570,113 +543,6 @@ where
         Ok(out) => out,
         Err(ParError::WorkerPanicked { payload, .. }) => resume_unwind(payload),
         Err(e @ ParError::MissingResult { .. }) => panic!("{e}"),
-    }
-}
-
-/// A reusable parallel region: one persistent [`JobShared`] allocation
-/// that dispatches closures onto the shared worker pool with **zero
-/// steady-state heap allocations**.
-///
-/// [`scoped_workers`] allocates a fresh job descriptor and result slots
-/// per region — fine for coarse regions, but the solver's per-level
-/// elimination fan-out sits inside an allocation-free hot loop (the
-/// counting-allocator test in `orianna-solver` pins it). A `WorkerTeam`
-/// amortizes the descriptor: regions after the first reuse the `Arc`, the
-/// injector queue's retained capacity, and the pool's parked threads, so
-/// the only per-region costs are atomics, a queue push, and a wakeup.
-///
-/// Unlike [`scoped_workers`] the closures return nothing: workers
-/// communicate through caller-owned state (disjoint slices indexed by a
-/// claimed item id), which is exactly the deterministic by-index merge
-/// discipline the module docs require.
-///
-/// # Region protocol
-///
-/// `run` publishes a region by rewriting the idle descriptor
-/// (`pending == 0`, cursor parked at [`IDLE_CURSOR`]) and release-storing
-/// `next = 1` as the single "go" signal; the caller executes worker 0,
-/// claims every id the pool does not take, waits for the rest, and parks
-/// the cursor again. A stale pool worker waking up between regions claims
-/// an id `>= workers` from the parked cursor and bails without touching
-/// `ctx`; one waking during a later region joins that region, which is
-/// sound because the claim's acquire pairs with the publish store.
-pub struct WorkerTeam {
-    job: Arc<JobShared>,
-}
-
-impl Default for WorkerTeam {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Cloning yields a *fresh* team: regions are serialized per team via
-/// `&mut self`, so sharing the descriptor across clones would let two
-/// owners overlap regions. A team carries no state worth copying.
-impl Clone for WorkerTeam {
-    fn clone(&self) -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for WorkerTeam {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerTeam").finish_non_exhaustive()
-    }
-}
-
-impl WorkerTeam {
-    /// Creates a team with an idle job descriptor (the one allocation).
-    pub fn new() -> Self {
-        Self {
-            job: Arc::new(JobShared::idle()),
-        }
-    }
-
-    /// Runs `f(id)` for every worker id in `0..min(threads, workers)`,
-    /// worker 0 on the calling thread. Allocation-free after the first
-    /// few regions (pool spawn and injector growth are one-time costs).
-    /// With one effective worker, `f(0)` runs inline — the serial path.
-    ///
-    /// `&mut self` serializes regions per team; a worker panic is
-    /// re-raised on the caller after the region fully retires.
-    pub fn run<F>(&mut self, threads: usize, workers: usize, f: &F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let n = threads.min(workers).max(1);
-        if n == 1 {
-            f(0);
-            return;
-        }
-        unsafe fn run_ref<F: Fn(usize)>(ctx: *const (), id: usize) {
-            let f = unsafe { &*(ctx as *const F) };
-            f(id);
-        }
-        let job = &self.job;
-        debug_assert_eq!(job.pending.load(Ordering::Acquire), 0, "region overlap");
-        // Stage the region while the cursor is parked, then publish it
-        // with the release store of `next = 1` (see JobShared docs).
-        job.run
-            .store(run_ref::<F> as RunFn as usize, Ordering::Relaxed);
-        job.ctx
-            .store((f as *const F).cast_mut().cast(), Ordering::Relaxed);
-        job.workers.store(n, Ordering::Relaxed);
-        job.pending.store(n, Ordering::Relaxed);
-        job.next.store(1, Ordering::Release);
-        dispatch(job, n - 1);
-        job.run_one(0);
-        job.service();
-        job.wait();
-        // Park the cursor before surfacing any panic so the team stays
-        // reusable either way.
-        job.next.store(IDLE_CURSOR, Ordering::Release);
-        // Drop the guard before unwinding — an `if let` on the locked
-        // temporary would hold (and poison) the mutex across the panic.
-        let panicked = job.panic.lock().expect("panic slot").take();
-        if let Some((_, payload)) = panicked {
-            resume_unwind(payload);
-        }
     }
 }
 
@@ -948,6 +814,18 @@ mod tests {
     }
 
     #[test]
+    fn gate_extremes_clamp_to_available_cores() {
+        // Zero work runs serial; unbounded work grants the full thread
+        // budget as a concrete (non-auto) configuration, which auto mode
+        // has already clamped to the cores actually available.
+        let auto = Parallelism::auto_with_threads(4);
+        assert!(!auto.gate(0).is_parallel());
+        let full = auto.gate(u64::MAX);
+        assert!(!full.is_auto());
+        assert_eq!(full.effective_threads(0), 4usize.min(available_threads()));
+    }
+
+    #[test]
     fn scoped_workers_runs_every_worker_once() {
         for threads in [1usize, 2, 4, 8] {
             let par = Parallelism::with_threads(threads);
@@ -1028,69 +906,6 @@ mod tests {
         .expect_err("inline worker panicked");
         assert!(err.to_string().contains("worker 0"));
         assert!(err.to_string().contains("inline boom"));
-    }
-
-    #[test]
-    fn worker_team_runs_every_id_across_reused_regions() {
-        let mut team = WorkerTeam::new();
-        for round in 0..5usize {
-            for n in [1usize, 2, 4, 8] {
-                let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                team.run(n, n, &|id: usize| {
-                    hits[id].fetch_add(1, Ordering::Relaxed);
-                });
-                for (id, h) in hits.iter().enumerate() {
-                    assert_eq!(
-                        h.load(Ordering::Relaxed),
-                        1,
-                        "round {round} n {n} id {id} ran exactly once"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn worker_team_claim_cursor_merges_by_index() {
-        // The canonical solver usage: workers drain a shared item cursor
-        // and write disjoint slots; every item is taken exactly once.
-        let mut team = WorkerTeam::new();
-        let items = 153usize;
-        for threads in [2usize, 4, 8] {
-            let cursor = AtomicUsize::new(0);
-            let out: Vec<AtomicUsize> = (0..items).map(|_| AtomicUsize::new(0)).collect();
-            team.run(threads, items, &|_id: usize| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items {
-                    break;
-                }
-                out[i].fetch_add(i * 7 + 1, Ordering::Relaxed);
-            });
-            for (i, o) in out.iter().enumerate() {
-                assert_eq!(o.load(Ordering::Relaxed), i * 7 + 1, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn worker_team_survives_panicking_region() {
-        let mut team = WorkerTeam::new();
-        for round in 0..3 {
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                team.run(4, 4, &|id: usize| {
-                    if id == 1 {
-                        panic!("team boom {round}");
-                    }
-                });
-            }));
-            assert!(r.is_err(), "round {round}");
-            // The very next region on the same descriptor must work.
-            let sum = AtomicUsize::new(0);
-            team.run(4, 4, &|id: usize| {
-                sum.fetch_add(id + 1, Ordering::Relaxed);
-            });
-            assert_eq!(sum.load(Ordering::Relaxed), 10);
-        }
     }
 
     #[test]

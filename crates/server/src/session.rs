@@ -7,11 +7,10 @@
 //! the mutable state — and every solve entry point here is
 //! **deterministic**: batched results are bitwise-identical to
 //! sequential ones at any worker count, shard count, or batch size.
-//! The server gets its coarse parallelism from fanning out *across*
-//! sessions in a batch; *within* one solve it additionally inherits the
-//! level-scheduled parallel arena, which is bitwise-identical to the
-//! serial arena at every thread count (see `orianna_solver::workspace`),
-//! so within-solve threading never weakens the determinism contract.
+//! The server gets its parallelism from fanning out *across* sessions in
+//! a batch; each solve itself runs the serial arena
+//! (`orianna_solver::workspace`), so the batch fan-out never weakens the
+//! determinism contract.
 //!
 //! The sequential oracle ([`crate::oracle`]) replays traffic through
 //! these same methods with a single-threaded cache, so server and
@@ -172,23 +171,6 @@ pub enum BatchFlavor {
     Levenberg(LevenbergMarquardtSettings),
 }
 
-/// Gauss-Newton settings as the server runs them. Historically this
-/// forced parallelism serial — the old batched executor's merge order
-/// depended on the thread count. The arena path the server now runs is
-/// bitwise-identical to serial at every thread count (parallel levels
-/// write disjoint regions through the same per-step kernel), so the
-/// caller's parallelism passes through untouched and the determinism
-/// contract holds by construction.
-pub fn server_gn_settings(s: GaussNewtonSettings) -> GaussNewtonSettings {
-    s
-}
-
-/// Levenberg-Marquardt settings as the server runs them (pass-through —
-/// see [`server_gn_settings`]).
-pub fn server_lm_settings(s: LevenbergMarquardtSettings) -> LevenbergMarquardtSettings {
-    s
-}
-
 enum Inner {
     Gn {
         graph: FactorGraph,
@@ -255,7 +237,6 @@ impl Session {
     ) -> Result<Self, ServerError> {
         match flavor {
             BatchFlavor::GaussNewton(settings) => {
-                let settings = server_gn_settings(settings);
                 GaussNewton::new(settings).optimize(&mut graph)?;
                 let initial = graph.values().clone();
                 Ok(Self {
@@ -271,7 +252,6 @@ impl Session {
                 })
             }
             BatchFlavor::Levenberg(settings) => {
-                let settings = server_lm_settings(settings);
                 LevenbergMarquardt::new(settings).optimize(&mut graph)?;
                 let initial = graph.values().clone();
                 Ok(Self {

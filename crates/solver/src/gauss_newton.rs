@@ -54,9 +54,10 @@ pub struct GaussNewtonSettings {
     /// Maximum step-halvings per iteration before accepting the step
     /// anyway (0 disables the line search).
     pub max_step_halvings: usize,
-    /// Worker threads for linearization and elimination. Defaults to the
-    /// available cores; `Parallelism::serial()` selects the reference
-    /// path. Results are identical up to floating-point roundoff.
+    /// Worker threads for linearization. Defaults to the available
+    /// cores; `Parallelism::serial()` selects the reference path.
+    /// Parallel linearization is bitwise identical to serial, and the
+    /// solve itself is always serial.
     pub parallelism: Parallelism,
 }
 
@@ -105,8 +106,8 @@ impl GaussNewton {
 
     /// Optimizes the graph in place.
     ///
-    /// The symbolic phase of elimination (ordering adjacency, parallel
-    /// batch schedule, separator layouts) is computed once on the first
+    /// The symbolic phase of elimination (ordering adjacency, separator
+    /// layouts, arena layout) is computed once on the first
     /// iteration as a [`SolvePlan`] and reused by every later iteration —
     /// topology is fixed during optimization, only values change.
     ///
@@ -121,12 +122,10 @@ impl GaussNewton {
     /// [`optimize`](GaussNewton::optimize) against an externally
     /// checked-out plan and workspace — the multi-tenant serving path,
     /// where a sharded cache owns both and hands them to whichever worker
-    /// thread executes the request. Runs the arena path with the
-    /// settings' within-solve parallelism
-    /// ([`SolvePlan::solve_in_with`], bitwise identical to the serial
-    /// arena at any thread count), so the result is bitwise identical to
-    /// [`optimize`](GaussNewton::optimize) with serial settings over the
-    /// same graph no matter how `parallelism` is configured.
+    /// thread executes the request. Runs the same arena solve
+    /// ([`SolvePlan::solve_in`]), so the result is bitwise identical to
+    /// [`optimize`](GaussNewton::optimize) over the same graph no matter
+    /// how `parallelism` is configured.
     ///
     /// # Errors
     /// Propagates [`SolveError`] from elimination; `PlanMismatch` when
@@ -150,7 +149,7 @@ impl GaussNewton {
         while iterations < s.max_iterations && !converged {
             iterations += 1;
             graph.linearize_into(&s.parallelism, &mut sys);
-            let delta = plan.solve_in_with(&sys, ws, &s.parallelism)?;
+            let delta = plan.solve_in(&sys, ws)?;
 
             let mut scale = 1.0;
             let mut best: Option<(f64, Vec64)> = None;
@@ -211,9 +210,6 @@ impl GaussNewton {
         // Every solve runs against a reusable workspace arena: taken from
         // the cache (parked there by an earlier solve over the same
         // topology) or allocated once, then allocation-free per iteration.
-        // Systems the cost gate deems big enough fan out *inside* the
-        // arena (level-parallel elimination, bitwise identical to serial),
-        // so there is no separate allocating batched path anymore.
         let mut ws: Option<Workspace> = None;
 
         while iterations < s.max_iterations && !converged {
@@ -234,7 +230,7 @@ impl GaussNewton {
             }
             let plan_ref = plan.as_ref().unwrap();
             let w = ws.as_mut().expect("workspace checked out with the plan");
-            let delta: &Vec64 = plan_ref.solve_in_with(&sys, w, &s.parallelism)?;
+            let delta: &Vec64 = plan_ref.solve_in(&sys, w)?;
 
             // Step-halving line search. Trial steps only move the
             // estimates, so each candidate is scored by re-evaluating the

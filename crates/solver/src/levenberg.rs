@@ -36,8 +36,9 @@ pub struct LevenbergMarquardtSettings {
     pub rel_tol: f64,
     /// Elimination ordering — the same choice Gauss-Newton offers.
     pub ordering: OrderingChoice,
-    /// Worker threads for linearization and elimination (see
-    /// [`GaussNewtonSettings::parallelism`](crate::GaussNewtonSettings)).
+    /// Worker threads for linearization (see
+    /// [`GaussNewtonSettings::parallelism`](crate::GaussNewtonSettings));
+    /// the solve itself is always serial.
     pub parallelism: Parallelism,
 }
 
@@ -125,9 +126,7 @@ impl LevenbergMarquardt {
         };
         let mut plan: Option<SolvePlan> = None;
         // Every iteration reuses one workspace arena — damping changes
-        // values only, so the layout stays valid. Parallelism, when
-        // enabled, runs *inside* the arena path (level-scheduled, bitwise
-        // identical to serial — see workspace.rs).
+        // values only, so the layout stays valid.
         let mut ws: Option<Workspace> = None;
 
         while iterations < s.max_iterations && !converged && lambda <= s.max_lambda {
@@ -140,7 +139,7 @@ impl LevenbergMarquardt {
             }
             let plan_ref = plan.as_ref().unwrap();
             let w = ws.get_or_insert_with(|| plan_ref.workspace());
-            let delta: &Vec64 = plan_ref.solve_in_with(&sys, w, &s.parallelism)?;
+            let delta: &Vec64 = plan_ref.solve_in(&sys, w)?;
             let candidate = graph.values().retract_all(delta);
             let new_error = graph.total_error_with(&candidate);
             if new_error < error {
@@ -196,7 +195,7 @@ impl LevenbergMarquardt {
     /// the symbolic phase per request. The plan must come from
     /// [`plan`](LevenbergMarquardt::plan) (or any structurally identical
     /// damped system). Bitwise identical to plain `optimize` over the
-    /// same graph at any thread count.
+    /// same graph.
     ///
     /// # Errors
     /// Propagates [`SolveError`]; `PlanMismatch` when the plan or
@@ -222,7 +221,7 @@ impl LevenbergMarquardt {
             iterations += 1;
             graph.linearize_into(&s.parallelism, &mut sys);
             append_damping(&mut sys, lambda);
-            let delta: &Vec64 = plan.solve_in_with(&sys, ws, &s.parallelism)?;
+            let delta: &Vec64 = plan.solve_in(&sys, ws)?;
             let candidate = graph.values().retract_all(delta);
             let new_error = graph.total_error_with(&candidate);
             if new_error < error {

@@ -38,6 +38,8 @@
 //! assert!((g.values().get(b).as_pose2().x() - 1.0).abs() < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bayes_tree;
 pub mod elimination;
 pub mod gauss_newton;
@@ -46,9 +48,7 @@ pub mod levenberg;
 pub mod plan;
 pub mod workspace;
 
-pub use elimination::{
-    eliminate, eliminate_with, BayesNet, Conditional, EliminationStats, SolveError,
-};
+pub use elimination::{eliminate, BayesNet, Conditional, EliminationStats, SolveError};
 pub use gauss_newton::{GaussNewton, GaussNewtonReport, GaussNewtonSettings, OrderingChoice};
 pub use incremental::IncrementalSolver;
 pub use levenberg::{LevenbergMarquardt, LevenbergMarquardtReport, LevenbergMarquardtSettings};

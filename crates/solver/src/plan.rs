@@ -12,18 +12,19 @@
 //! * per-step **separator layouts** (the sorted separator variables and
 //!   therefore the column layout of the stacked matrix),
 //! * the structural `(rows × cols)` dimensions of every dense sub-problem,
-//! * the deterministic **parallel batch schedule** of
-//!   [`eliminate_with`](crate::elimination::eliminate_with) — batches are a
-//!   function of structure, never of the thread count.
+//! * the arena layout of the numeric phase ([`crate::workspace`]).
 //!
-//! The *numeric* phase ([`SolvePlan::execute`]) runs only the dense
-//! arithmetic: gather, stack, QR, split — no adjacency rebuilds, no batch
-//! formation, no separator scans. Executing a plan is **bitwise
-//! identical** to the plan-less serial path, and the batched execution is
-//! bitwise identical to the plan-less parallel path, because both follow
-//! the same gather order and run the same
-//! [`eliminate_step`](crate::elimination) arithmetic (asserted in
-//! `tests/plan.rs` for every benchmark application).
+//! The *numeric* phase ([`SolvePlan::execute`], [`SolvePlan::solve_in`])
+//! runs only the dense arithmetic: gather, stack, QR, split — no
+//! adjacency rebuilds, no separator scans. Executing a plan is **bitwise
+//! identical** to the plan-less serial path, because both follow the same
+//! gather order and run the same [`eliminate_step`](crate::elimination)
+//! arithmetic (asserted in `tests/plan.rs` for every benchmark
+//! application).
+//!
+//! Execution is serial. The solver is the software reference; the
+//! elimination-tree parallelism of the paper lives in the generated
+//! accelerator's QR and back-substitution units (DESIGN §3.2.6).
 //!
 //! ## Validity and invalidation
 //!
@@ -35,22 +36,14 @@
 //! invalidates it. [`SolvePlan::execute`] cheaply checks the shape of the
 //! system it is handed and returns [`SolveError::PlanMismatch`] on a stale
 //! plan rather than computing garbage.
-//!
-//! ## Determinism guarantee
-//!
-//! Plan construction is a pure function of structure; execution merges
-//! batch results in schedule order. Both are therefore deterministic in
-//! the thread count — the guarantees of `tests/parallel.rs` carry over
-//! unchanged.
 
 use crate::elimination::{
     eliminate_step, eliminate_step_with_seps, BayesNet, Conditional, EliminationStats, SolveError,
 };
 use crate::workspace::{ArenaError, Workspace, WorkspaceLayout};
 use orianna_graph::{FactorGraph, LinearFactor, LinearSystem, VarId};
-use orianna_math::par::{run_tasks, Parallelism};
+use orianna_math::par::Parallelism;
 use std::collections::HashMap;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// One symbolic elimination step: everything the numeric executor needs to
@@ -74,14 +67,10 @@ struct PlanStep {
 }
 
 /// A symbolic elimination schedule: steps plus the slot-count of its
-/// work-list. The serial and batched schedules number their separator
-/// slots independently (they eliminate in different effective orders).
+/// work-list.
 #[derive(Debug, Clone)]
 struct Schedule {
     steps: Vec<PlanStep>,
-    /// `steps[batches[i-1]..batches[i]]` form one concurrency batch whose
-    /// gather sets are pairwise disjoint. Serial schedule: one batch.
-    batches: Vec<usize>,
     num_slots: usize,
 }
 
@@ -183,8 +172,8 @@ impl SymbolicWorklist {
     }
 }
 
-/// Builds the serial schedule: steps strictly in `order`.
-fn build_serial(
+/// Builds the schedule: steps strictly in `order`.
+fn build_schedule(
     var_dims: &[usize],
     factor_keys: &[Vec<VarId>],
     factor_rows: &[usize],
@@ -199,56 +188,8 @@ fn build_serial(
         }
         steps.push(wl.make_step(v, gather, var_dims)?);
     }
-    let batches = (1..=steps.len()).collect();
     Ok(Schedule {
         steps,
-        batches,
-        num_slots: wl.num_slots(),
-    })
-}
-
-/// Builds the batched schedule, replicating the deterministic greedy batch
-/// formation of the plan-less parallel eliminator: scan the remaining
-/// ordering, admit the head unconditionally, admit a later variable when
-/// its live slot set is non-empty and disjoint from the batch's.
-fn build_batched(
-    var_dims: &[usize],
-    factor_keys: &[Vec<VarId>],
-    factor_rows: &[usize],
-    order: &[VarId],
-) -> Result<Schedule, SolveError> {
-    let mut wl = SymbolicWorklist::new(var_dims, factor_keys, factor_rows);
-    let mut pending: Vec<VarId> = order.to_vec();
-    let mut steps = Vec::with_capacity(order.len());
-    let mut batches = Vec::new();
-    while !pending.is_empty() {
-        let mut batch: Vec<(usize, VarId, Vec<usize>)> = Vec::new();
-        let mut batch_slots: HashSet<usize> = HashSet::new();
-        for (pi, &v) in pending.iter().enumerate() {
-            let slots = wl.live_slots(v);
-            if batch.is_empty() {
-                if slots.is_empty() {
-                    return Err(SolveError::UnconstrainedVariable(v));
-                }
-            } else if slots.is_empty() || slots.iter().any(|s| batch_slots.contains(s)) {
-                continue;
-            }
-            batch_slots.extend(slots.iter().copied());
-            batch.push((pi, v, slots));
-        }
-        // Consume and reserve strictly in batch order, matching the merge
-        // order of the plan-less path.
-        for (_, v, slots) in &batch {
-            steps.push(wl.make_step(*v, slots.clone(), var_dims)?);
-        }
-        batches.push(steps.len());
-        for &(pi, _, _) in batch.iter().rev() {
-            pending.remove(pi);
-        }
-    }
-    Ok(Schedule {
-        steps,
-        batches,
         num_slots: wl.num_slots(),
     })
 }
@@ -264,12 +205,10 @@ pub struct SolvePlan {
     order: Vec<VarId>,
     var_dims: Arc<Vec<usize>>,
     num_base_factors: usize,
-    serial: Schedule,
-    batched: Schedule,
-    /// Arena layout of the serial schedule (see [`crate::workspace`]).
+    schedule: Schedule,
+    /// Arena layout of the schedule (see [`crate::workspace`]).
     layout: WorkspaceLayout,
-    /// Estimated numeric-phase flops (from the structural panel shapes),
-    /// feeding [`Parallelism`]'s auto-mode cost gate.
+    /// Estimated numeric-phase flops (from the structural panel shapes).
     flops: u64,
 }
 
@@ -320,9 +259,8 @@ impl SolvePlan {
                 return Err(SolveError::UnknownVariable(*v));
             }
         }
-        let serial = build_serial(&var_dims, factor_keys, factor_rows, order)?;
-        let batched = build_batched(&var_dims, factor_keys, factor_rows, order)?;
-        let step_view: Vec<_> = serial
+        let schedule = build_schedule(&var_dims, factor_keys, factor_rows, order)?;
+        let step_view: Vec<_> = schedule
             .steps
             .iter()
             .map(|s| {
@@ -347,9 +285,8 @@ impl SolvePlan {
         // triangularization of a rows × (cols + 1) panel costs about
         // 2 · rows · width · min(width, rows) multiply–adds, plus one
         // panel's worth of gather traffic. Shapes are symbolic (row
-        // bounds), so this is an upper estimate — exactly what the
-        // parallel cost gate wants (DESIGN §3.2.4).
-        let flops = serial
+        // bounds), so this is an upper estimate.
+        let flops = schedule
             .steps
             .iter()
             .map(|s| {
@@ -363,8 +300,7 @@ impl SolvePlan {
             order: order.to_vec(),
             var_dims: Arc::new(var_dims),
             num_base_factors: factor_keys.len(),
-            serial,
-            batched,
+            schedule,
             layout,
             flops,
         })
@@ -386,16 +322,19 @@ impl SolvePlan {
     }
 
     /// Structural `(rows, cols)` of every elimination sub-problem, in
-    /// serial order — the plan-time preview of the Fig. 17 samples.
+    /// elimination order — the plan-time preview of the Fig. 17 samples.
     pub fn step_shapes(&self) -> Vec<(usize, usize)> {
-        self.serial.steps.iter().map(|s| (s.rows, s.cols)).collect()
+        self.schedule
+            .steps
+            .iter()
+            .map(|s| (s.rows, s.cols))
+            .collect()
     }
 
     /// Estimated numeric-phase flops, derived from the structural panel
-    /// shapes at build time. This is the work figure the auto-mode cost
-    /// gate compares against its threshold
-    /// ([`Parallelism::effective_threads`]); it is an upper estimate
-    /// because the shapes are structural row bounds.
+    /// shapes at build time. It is an upper estimate because the shapes
+    /// are structural row bounds; the server's batch fan-out gates on it
+    /// ([`Parallelism::effective_threads`]).
     pub fn estimated_flops(&self) -> u64 {
         self.flops
     }
@@ -406,23 +345,13 @@ impl SolvePlan {
         sys.factors.len() == self.num_base_factors && sys.var_dims == *self.var_dims
     }
 
-    /// Numeric phase: eliminates `sys` along the precomputed schedule.
-    ///
-    /// Serial parallelism (or a single-variable order) follows the serial
-    /// schedule and is bitwise identical to
-    /// [`eliminate`](crate::elimination::eliminate); otherwise the batched
-    /// schedule runs with `par.threads` workers and is bitwise identical
-    /// to [`eliminate_with`](crate::elimination::eliminate_with) for every
-    /// thread count.
+    /// Numeric phase: eliminates `sys` along the precomputed schedule,
+    /// bitwise identical to [`eliminate`](crate::elimination::eliminate).
     ///
     /// # Errors
     /// [`SolveError::PlanMismatch`] when `sys`'s shape differs from the
     /// planned structure; otherwise the usual elimination errors.
-    pub fn execute(
-        &self,
-        sys: &LinearSystem,
-        par: &Parallelism,
-    ) -> Result<(BayesNet, EliminationStats), SolveError> {
+    pub fn execute(&self, sys: &LinearSystem) -> Result<(BayesNet, EliminationStats), SolveError> {
         if !self.matches(sys) {
             return Err(SolveError::PlanMismatch);
         }
@@ -431,16 +360,7 @@ impl SolvePlan {
             self.fingerprint,
             "plan/system structure fingerprints diverge"
         );
-        // Auto mode gates on the plan's estimated work: small systems run
-        // the serial schedule no matter how many threads are configured
-        // (results are bitwise identical either way — only time changes).
-        let par = par.gate(self.flops);
-        let conditionals = if par.is_parallel() && self.order.len() > 1 {
-            self.run_batched(sys, &par)?
-        } else {
-            self.run_serial(sys)?
-        };
-        let (conditionals, steps) = conditionals;
+        let (conditionals, steps) = self.run_reference(sys)?;
         Ok((
             BayesNet {
                 conditionals,
@@ -461,7 +381,7 @@ impl SolvePlan {
 
     /// Arena-backed serial solve: eliminate **and** back-substitute
     /// entirely inside `ws`, returning a borrow of the solved Δ. Bitwise
-    /// identical to `execute(serial) + back_substitute`, but steady-state
+    /// identical to `execute + back_substitute`, but steady-state
     /// **allocation-free** (asserted by a counting-allocator test): gather
     /// is slice copies into pre-laid-out panels, QR runs in place, and the
     /// conditionals are read straight out of the arena.
@@ -487,7 +407,7 @@ impl SolvePlan {
                 Ok(&ws.delta)
             }
             Err(ArenaError::Fallback) => {
-                let (conditionals, stats) = self.run_serial(sys)?;
+                let (conditionals, stats) = self.run_reference(sys)?;
                 let bn = BayesNet {
                     conditionals,
                     var_dims: (*self.var_dims).clone(),
@@ -502,53 +422,22 @@ impl SolvePlan {
         }
     }
 
-    /// Arena-backed solve with **within-solve parallelism**: elimination
-    /// runs the layout's dependency levels (independent elimination-tree
-    /// subtrees) concurrently, back-substitution the reverse levels —
-    /// each gated per level by the flop cost model, so small graphs and
-    /// thin chains stay on the serial inline path. Every step writes a
-    /// disjoint panel / Δ segment and performs arithmetic identical to
-    /// the serial sweep, so the result is **bitwise identical to
-    /// [`SolvePlan::solve_in`] at any thread count** (proptested in
-    /// `orianna-verify`), and the steady state stays allocation-free
-    /// (per-worker scratch and the dispatch descriptor live inside `ws`).
-    ///
-    /// With `par` serial this *is* `solve_in`.
+    /// [`SolvePlan::solve_in`] under its former parallel signature: `par`
+    /// no longer affects the solve, which is always the serial arena
+    /// sweep.
     ///
     /// # Errors
-    /// Same as [`SolvePlan::solve_in`] — failures re-run the serial sweep
-    /// so the reported error matches the reference path.
+    /// Same as [`SolvePlan::solve_in`].
     pub fn solve_in_with<'w>(
         &self,
         sys: &LinearSystem,
         ws: &'w mut Workspace,
-        par: &Parallelism,
+        _par: &Parallelism,
     ) -> Result<&'w orianna_math::Vec64, SolveError> {
-        if !self.matches(sys) || ws.fingerprint != self.fingerprint {
-            return Err(SolveError::PlanMismatch);
-        }
-        match self.layout.eliminate_in_with(sys, ws, par) {
-            Ok(()) => {
-                self.layout.back_substitute_in_with(ws, par)?;
-                Ok(&ws.delta)
-            }
-            Err(ArenaError::Fallback) => {
-                let (conditionals, stats) = self.run_serial(sys)?;
-                let bn = BayesNet {
-                    conditionals,
-                    var_dims: (*self.var_dims).clone(),
-                };
-                let delta = bn.back_substitute()?;
-                ws.stats.clear();
-                ws.stats.extend(stats);
-                ws.delta = delta;
-                Ok(&ws.delta)
-            }
-            Err(ArenaError::Solve(e)) => Err(e),
-        }
+        self.solve_in(sys, ws)
     }
 
-    /// Arena-backed variant of [`SolvePlan::execute`] (serial schedule):
+    /// Arena-backed variant of [`SolvePlan::execute`]:
     /// eliminates inside `ws` and materializes the conditionals into an
     /// owned [`BayesNet`] for callers that keep them (the incremental
     /// solver). The panels, scratch and stats buffers are still reused —
@@ -575,7 +464,7 @@ impl SolvePlan {
                 },
             )),
             Err(ArenaError::Fallback) => {
-                let (conditionals, steps) = self.run_serial(sys)?;
+                let (conditionals, steps) = self.run_reference(sys)?;
                 ws.stats.clear();
                 ws.stats.extend(steps.iter().cloned());
                 Ok((
@@ -590,16 +479,17 @@ impl SolvePlan {
         }
     }
 
-    /// Serial numeric sweep over the serial schedule.
+    /// Allocating numeric sweep over the schedule — the reference path
+    /// behind [`SolvePlan::execute`] and the arena fallback.
     #[allow(clippy::type_complexity)]
-    fn run_serial(
+    fn run_reference(
         &self,
         sys: &LinearSystem,
     ) -> Result<(Vec<Conditional>, Vec<crate::elimination::EliminationStep>), SolveError> {
-        let mut work = base_worklist(sys, self.serial.num_slots);
-        let mut conditionals = Vec::with_capacity(self.serial.steps.len());
-        let mut stats = Vec::with_capacity(self.serial.steps.len());
-        for step in &self.serial.steps {
+        let mut work = base_worklist(sys, self.schedule.num_slots);
+        let mut conditionals = Vec::with_capacity(self.schedule.steps.len());
+        let mut stats = Vec::with_capacity(self.schedule.steps.len());
+        for step in &self.schedule.steps {
             let gathered = gather_live(&mut work, &step.gather);
             if gathered.is_empty() {
                 return Err(SolveError::UnconstrainedVariable(step.var));
@@ -617,61 +507,6 @@ impl SolvePlan {
             conditionals.push(cond);
             stats.push(st);
             store_new_factor(&mut work, step, new_factor);
-        }
-        Ok((conditionals, stats))
-    }
-
-    /// Batched numeric sweep: each batch's steps own disjoint slots, so
-    /// their dense sub-problems run concurrently; results merge in
-    /// schedule order (thread-count independent).
-    #[allow(clippy::type_complexity)]
-    fn run_batched(
-        &self,
-        sys: &LinearSystem,
-        par: &Parallelism,
-    ) -> Result<(Vec<Conditional>, Vec<crate::elimination::EliminationStep>), SolveError> {
-        type StepResult = Result<
-            (
-                Conditional,
-                Option<LinearFactor>,
-                crate::elimination::EliminationStep,
-            ),
-            SolveError,
-        >;
-        let mut work = base_worklist(sys, self.batched.num_slots);
-        let mut conditionals = Vec::with_capacity(self.batched.steps.len());
-        let mut stats = Vec::with_capacity(self.batched.steps.len());
-        let mut start = 0;
-        for &end in &self.batched.batches {
-            let batch = &self.batched.steps[start..end];
-            start = end;
-            let tasks: Vec<Box<dyn FnOnce() -> StepResult + Send>> = batch
-                .iter()
-                .map(|step| {
-                    let gathered = gather_live(&mut work, &step.gather);
-                    let exact = gathered.len() == step.gather.len();
-                    let v = step.var;
-                    let seps = step.seps.clone();
-                    let var_dims = Arc::clone(&self.var_dims);
-                    Box::new(move || {
-                        if gathered.is_empty() {
-                            return Err(SolveError::UnconstrainedVariable(v));
-                        }
-                        if exact {
-                            eliminate_step_with_seps(v, &gathered, &var_dims, seps)
-                        } else {
-                            eliminate_step(v, &gathered, &var_dims)
-                        }
-                    }) as _
-                })
-                .collect();
-            let results = run_tasks(par.threads, tasks);
-            for (step, result) in batch.iter().zip(results) {
-                let (cond, new_factor, st) = result?;
-                conditionals.push(cond);
-                stats.push(st);
-                store_new_factor(&mut work, step, new_factor);
-            }
         }
         Ok((conditionals, stats))
     }
@@ -882,7 +717,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elimination::{eliminate, eliminate_with};
+    use crate::elimination::eliminate;
     use orianna_graph::{natural_ordering, BetweenFactor, FactorGraph, GpsFactor, PriorFactor};
     use orianna_lie::Pose2;
 
@@ -919,7 +754,7 @@ mod tests {
         let plan = SolvePlan::for_graph(&g, ordering.as_slice()).unwrap();
         let sys = g.linearize();
         let (bn_ref, st_ref) = eliminate(&sys, &ordering).unwrap();
-        let (bn, st) = plan.execute(&sys, &Parallelism::serial()).unwrap();
+        let (bn, st) = plan.execute(&sys).unwrap();
         assert_eq!(bn.conditionals.len(), bn_ref.conditionals.len());
         for (a, b) in bn.conditionals.iter().zip(&bn_ref.conditionals) {
             assert_eq!(a.var, b.var);
@@ -939,22 +774,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_batched_is_bitwise_identical_to_eliminate_with() {
-        let g = looped_chain(10);
-        let ordering = natural_ordering(&g);
-        let sys = g.linearize();
-        let plan = SolvePlan::for_system(&sys, ordering.as_slice()).unwrap();
-        let par = Parallelism::with_threads(4);
-        let (bn_ref, st_ref) = eliminate_with(&sys, &ordering, &par).unwrap();
-        let (bn, st) = plan.execute(&sys, &par).unwrap();
-        assert_eq!(st.steps, st_ref.steps);
-        assert_eq!(
-            bn.back_substitute().unwrap().as_slice(),
-            bn_ref.back_substitute().unwrap().as_slice()
-        );
-    }
-
-    #[test]
     fn plan_survives_relinearization() {
         // Same topology, new linearization point: the plan still matches
         // and produces the fresh serial result bitwise.
@@ -963,12 +782,7 @@ mod tests {
         let plan = SolvePlan::for_graph(&g, ordering.as_slice()).unwrap();
         for _ in 0..3 {
             let sys = g.linearize();
-            let planned = plan
-                .execute(&sys, &Parallelism::serial())
-                .unwrap()
-                .0
-                .back_substitute()
-                .unwrap();
+            let planned = plan.execute(&sys).unwrap().0.back_substitute().unwrap();
             let fresh = eliminate(&sys, &ordering)
                 .unwrap()
                 .0
@@ -987,9 +801,7 @@ mod tests {
         let mut bigger = g.clone();
         let ids: Vec<_> = (0..5).map(orianna_graph::VarId).collect();
         bigger.add_factor(GpsFactor::new(ids[1], &[0.0, 1.0], 0.5));
-        let err = plan
-            .execute(&bigger.linearize(), &Parallelism::serial())
-            .unwrap_err();
+        let err = plan.execute(&bigger.linearize()).unwrap_err();
         assert_eq!(err, SolveError::PlanMismatch);
     }
 
@@ -1011,7 +823,7 @@ mod tests {
         let sys = g.linearize();
         let order: Vec<VarId> = (0..3).map(VarId).collect();
         let plan = SolvePlan::for_system(&sys, &order).unwrap();
-        let (bn, stats) = plan.execute(&sys, &Parallelism::serial()).unwrap();
+        let (bn, stats) = plan.execute(&sys).unwrap();
         assert_eq!(bn.conditionals.len(), 3);
         assert_eq!(stats.steps.len(), 3);
         for (c, v) in bn.conditionals.iter().zip(&order) {
@@ -1079,7 +891,7 @@ mod tests {
         let sys = g.linearize();
         let plan = SolvePlan::for_system(&sys, ordering.as_slice()).unwrap();
         let mut ws = plan.workspace();
-        let (bn_ref, st_ref) = plan.execute(&sys, &Parallelism::serial()).unwrap();
+        let (bn_ref, st_ref) = plan.execute(&sys).unwrap();
         let (bn, st) = plan.execute_in(&sys, &mut ws).unwrap();
         assert_eq!(st.steps, st_ref.steps);
         assert_eq!(bn.conditionals.len(), bn_ref.conditionals.len());
@@ -1102,12 +914,7 @@ mod tests {
         let order: Vec<VarId> = (0..3).map(VarId).collect();
         let plan = SolvePlan::for_system(&sys, &order).unwrap();
         let mut ws = plan.workspace();
-        let reference = plan
-            .execute(&sys, &Parallelism::serial())
-            .unwrap()
-            .0
-            .back_substitute()
-            .unwrap();
+        let reference = plan.execute(&sys).unwrap().0.back_substitute().unwrap();
         let delta = plan.solve_in(&sys, &mut ws).unwrap();
         assert_eq!(delta.as_slice(), reference.as_slice());
     }

@@ -13,7 +13,7 @@
 
 use orianna_compiler::{compile, execute, Op};
 use orianna_graph::{natural_ordering, FactorGraph};
-use orianna_math::{Mat, Parallelism, Vec64};
+use orianna_math::{Mat, Vec64};
 use orianna_solver::{eliminate, SolvePlan};
 
 /// A structured oracle failure: which stage diverged and by how much.
@@ -232,7 +232,7 @@ pub fn check_graph(g: &FactorGraph, tol: f64) -> Result<OracleReport, OracleFail
     let plan = SolvePlan::for_system(&sys, ordering.as_slice())
         .map_err(|e| OracleFailure::Solve(e.to_string()))?;
     let (bn_plan, _) = plan
-        .execute(&sys, &Parallelism::serial())
+        .execute(&sys)
         .map_err(|e| OracleFailure::Solve(e.to_string()))?;
     let delta_plan = bn_plan
         .back_substitute()

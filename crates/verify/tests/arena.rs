@@ -6,7 +6,7 @@
 //! are engineered to be bitwise identical).
 
 use orianna_graph::natural_ordering;
-use orianna_math::Mat;
+use orianna_math::{Mat, Parallelism};
 use orianna_solver::{eliminate, SolvePlan};
 use orianna_verify::{generate, Family, GenConfig};
 use proptest::prelude::*;
@@ -85,6 +85,34 @@ proptest! {
                 prop_assert!((c.rhs[d] - r.rhs[d]).abs() <= 1e-12);
             }
         }
+    }
+
+    /// One workspace driven through every entry point in turn —
+    /// `execute_in`, then `solve_in`, then `solve_in_with` — returns the
+    /// same delta bit for bit as a fresh workspace: mixing entry points
+    /// never contaminates results.
+    #[test]
+    fn workspace_reuse_across_entry_points_is_stable(
+        fam in 0usize..4,
+        vars in 3usize..10,
+        seed in 0u64..256,
+    ) {
+        let g = generate(&GenConfig::new(family_of(fam), vars, 0.5, seed));
+        let sys = g.linearize();
+        let ordering = natural_ordering(&g);
+        let plan = SolvePlan::for_system(&sys, ordering.as_slice()).expect("plan builds");
+        let delta_ref = plan.solve_in(&sys, &mut plan.workspace()).expect("fresh solve").clone();
+        let bits = |d: &orianna_math::Vec64| d.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let mut ws = plan.workspace();
+        let (bn, _) = plan.execute_in(&sys, &mut ws).expect("execute_in");
+        prop_assert_eq!(bits(&bn.back_substitute().expect("back-substitutes")), bits(&delta_ref));
+        let delta = plan.solve_in(&sys, &mut ws).expect("solve_in").clone();
+        prop_assert_eq!(bits(&delta), bits(&delta_ref));
+        let delta = plan
+            .solve_in_with(&sys, &mut ws, &Parallelism::with_threads(4))
+            .expect("solve_in_with");
+        prop_assert_eq!(bits(delta), bits(&delta_ref));
     }
 
     /// The blocked column-panel matmul agrees with a naive triple loop on

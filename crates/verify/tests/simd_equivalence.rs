@@ -1,19 +1,14 @@
-//! Property tests for the SIMD panel kernels and the auto-gated
-//! parallelism mode (ISSUE 6): the runtime-dispatched AVX f64×4 kernels
-//! must be **bitwise identical** to their scalar fallbacks on panels
-//! drawn from every generator family and on adversarial shapes
-//! (remainder widths, unaligned base pointers), and `Parallelism::auto`
-//! must produce bitwise the same solve results as both the serial
-//! reference and an ungated thread count.
+//! Property tests for the SIMD panel kernels: the runtime-dispatched AVX
+//! f64×4 kernels must be **bitwise identical** to their scalar fallbacks
+//! on panels drawn from every generator family and on adversarial shapes
+//! (remainder widths, unaligned base pointers).
 //!
 //! On a machine without AVX (or under `ORIANNA_NO_SIMD=1`) the dispatch
 //! resolves to the scalar path and these tests degenerate to
 //! self-comparisons — still useful as fallback-path coverage, which is
 //! exactly what the CI `ORIANNA_NO_SIMD` matrix leg runs.
 
-use orianna_graph::natural_ordering;
-use orianna_math::{panel, Parallelism};
-use orianna_solver::SolvePlan;
+use orianna_math::panel;
 use orianna_verify::{generate, Family, GenConfig};
 use proptest::prelude::*;
 
@@ -126,74 +121,5 @@ proptest! {
                 scalar.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
             );
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// `Parallelism::auto` may only *route* a solve — to the serial path
-    /// or to the batched path — never perturb it. Concretely (matching
-    /// the invariants documented on `eliminate_with`):
-    ///
-    /// 1. the auto result is bitwise identical to whichever reference
-    ///    path (`serial()` / `with_threads(n)`) its gate selects;
-    /// 2. the batched path is bitwise identical for every thread count;
-    /// 3. serial and batched back-substituted deltas agree to 1e-12
-    ///    (the batch schedule permutes the elimination order, so exact
-    ///    bitwise equality across the two *algorithms* is not promised).
-    #[test]
-    fn auto_mode_routes_without_perturbing_the_solve(
-        fam in 0usize..4,
-        vars in 3usize..9,
-        dstep in 0usize..4,
-        seed in 0u64..512,
-    ) {
-        let g = generate(&GenConfig::new(family_of(fam), vars, dstep as f64 * 0.25, seed));
-        let sys = g.linearize();
-        let ordering = natural_ordering(&g);
-        let plan = SolvePlan::for_system(&sys, ordering.as_slice()).expect("plan builds");
-
-        let solve = |par: &Parallelism| {
-            let (bn, _) = plan.execute(&sys, par).expect("plan executes");
-            bn.back_substitute().expect("back-substitutes")
-        };
-        let bits = |v: &orianna_math::Vec64| {
-            v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        };
-
-        let serial = solve(&Parallelism::serial());
-        let t2 = solve(&Parallelism::with_threads(2));
-        let t4 = solve(&Parallelism::with_threads(4));
-        let t8 = solve(&Parallelism::with_threads(8));
-        let auto = solve(&Parallelism::auto_with_threads(4));
-
-        // (2) thread-count independence of the batched schedule.
-        prop_assert_eq!(bits(&t2), bits(&t4));
-        prop_assert_eq!(bits(&t4), bits(&t8));
-
-        // (1) auto equals the gate-selected reference bitwise. The gate
-        // decision is replayed here exactly as `execute` computes it.
-        let auto_par = Parallelism::auto_with_threads(4);
-        let gated = auto_par.gate(plan.estimated_flops());
-        let reference = if gated.is_parallel() { &t4 } else { &serial };
-        prop_assert_eq!(bits(&auto), bits(reference));
-
-        // (3) the two algorithms agree to roundoff.
-        prop_assert_eq!(serial.len(), t4.len());
-        for (a, b) in serial.as_slice().iter().zip(t4.as_slice()) {
-            prop_assert!((a - b).abs() < 1e-12);
-        }
-
-        // Gate extremes behave: zero work runs serial, unbounded work
-        // grants the full (non-auto) thread budget — which auto mode
-        // clamps to the cores actually available.
-        prop_assert!(!auto_par.gate(0).is_parallel());
-        let full = auto_par.gate(u64::MAX);
-        prop_assert!(!full.is_auto());
-        prop_assert_eq!(
-            full.effective_threads(0),
-            4usize.min(orianna_math::par::available_threads())
-        );
     }
 }

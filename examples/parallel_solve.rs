@@ -1,5 +1,5 @@
-//! Parallel execution: solve the same pose-graph serially and with the
-//! multi-threaded linearize → eliminate path, and show the results agree.
+//! Parallel execution: solve the same pose-graph serially and with
+//! multi-threaded linearization, and show the results agree.
 //!
 //! ```text
 //! cargo run --release --example parallel_solve
@@ -7,8 +7,7 @@
 //!
 //! The parallel path (see DESIGN.md, "Parallel execution") is gated by
 //! [`Parallelism`](orianna::math::Parallelism): linearization is bitwise
-//! identical to serial, and independent-clique elimination is
-//! thread-count-deterministic with the same Δ to < 1e-12.
+//! identical to serial, and elimination is serial.
 
 use orianna::graph::{BetweenFactor, FactorGraph, GpsFactor, PriorFactor};
 use orianna::lie::Pose2;

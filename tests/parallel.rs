@@ -1,13 +1,13 @@
-//! Parallel-vs-serial equivalence for the linearize → eliminate →
-//! simulate hot path.
+//! Parallel-vs-serial equivalence for the linearize → solve → simulate
+//! hot path.
 //!
 //! The guarantees under test (see DESIGN.md, "Parallel execution"):
 //!
 //! * parallel linearization is **bitwise identical** to serial, for every
 //!   benchmark algorithm and every thread count;
-//! * parallel (independent-clique) elimination solves for the same Δ as
-//!   serial elimination to `< 1e-12`, and is itself bitwise deterministic
-//!   with respect to the thread count;
+//! * Gauss-Newton with parallel linearization reaches the serial optimum,
+//!   is bitwise deterministic in the thread count, and reports the same
+//!   structural errors;
 //! * batched simulation returns exactly the reports of per-workload
 //!   serial simulation, in input order.
 
@@ -16,7 +16,7 @@ use orianna::compiler::compile;
 use orianna::graph::natural_ordering;
 use orianna::hw::{simulate, simulate_batch, HwConfig, IssuePolicy, Workload};
 use orianna::math::Parallelism;
-use orianna::solver::{eliminate, eliminate_with, GaussNewton, GaussNewtonSettings, SolveError};
+use orianna::solver::{GaussNewton, GaussNewtonSettings, SolveError};
 
 #[test]
 fn parallel_linearization_is_bitwise_identical_on_all_apps() {
@@ -54,54 +54,27 @@ fn parallel_linearization_is_bitwise_identical_on_all_apps() {
 }
 
 #[test]
-fn parallel_elimination_matches_serial_on_all_apps() {
-    for app in all_apps(2024) {
-        for algo in &app.algorithms {
-            let sys = algo.graph.linearize();
-            let ordering = natural_ordering(&algo.graph);
-            let reference = eliminate(&sys, &ordering)
-                .unwrap_or_else(|e| panic!("{}/{}: {e}", app.name, algo.name))
-                .0
-                .back_substitute()
-                .unwrap();
-            let (bn, stats) = eliminate_with(&sys, &ordering, &Parallelism::with_threads(4))
-                .unwrap_or_else(|e| panic!("{}/{}: {e}", app.name, algo.name));
-            // Every variable eliminated exactly once.
-            assert_eq!(bn.conditionals.len(), ordering.len());
-            assert_eq!(stats.steps.len(), ordering.len());
-            let delta = bn.back_substitute().unwrap();
-            let diff = (&delta - &reference).norm();
-            let scale = reference.norm().max(1.0);
-            assert!(
-                diff / scale < 1e-12,
-                "{}/{}: parallel delta deviates by {diff:e} (scale {scale:e})",
-                app.name,
-                algo.name
-            );
-        }
-    }
-}
-
-#[test]
-fn parallel_elimination_is_threadcount_deterministic() {
+fn parallel_gauss_newton_is_threadcount_deterministic() {
     for app in all_apps(77) {
         for algo in &app.algorithms {
-            let sys = algo.graph.linearize();
-            let ordering = natural_ordering(&algo.graph);
-            let deltas: Vec<_> = [2, 3, 8]
+            let solved: Vec<_> = [2, 3, 8]
                 .iter()
                 .map(|&t| {
-                    eliminate_with(&sys, &ordering, &Parallelism::with_threads(t))
-                        .unwrap()
-                        .0
-                        .back_substitute()
-                        .unwrap()
+                    let mut g = algo.graph.clone();
+                    GaussNewton::new(GaussNewtonSettings {
+                        max_iterations: 15,
+                        parallelism: Parallelism::with_threads(t),
+                        ..Default::default()
+                    })
+                    .optimize(&mut g)
+                    .unwrap_or_else(|e| panic!("{}/{}: {e}", app.name, algo.name));
+                    g
                 })
                 .collect();
-            for d in &deltas[1..] {
+            for g in &solved[1..] {
                 assert_eq!(
-                    d.as_slice(),
-                    deltas[0].as_slice(),
+                    g.values(),
+                    solved[0].values(),
                     "{}/{}: thread count changed the result",
                     app.name,
                     algo.name
@@ -112,35 +85,19 @@ fn parallel_elimination_is_threadcount_deterministic() {
 }
 
 #[test]
-fn serial_parallelism_falls_back_to_reference_eliminate() {
-    let app = &all_apps(31)[0];
-    let algo = app.algorithm("localization");
-    let sys = algo.graph.linearize();
-    let ordering = natural_ordering(&algo.graph);
-    let serial = eliminate(&sys, &ordering)
-        .unwrap()
-        .0
-        .back_substitute()
-        .unwrap();
-    let gated = eliminate_with(&sys, &ordering, &Parallelism::serial())
-        .unwrap()
-        .0
-        .back_substitute()
-        .unwrap();
-    assert_eq!(serial.as_slice(), gated.as_slice());
-}
-
-#[test]
-fn parallel_elimination_detects_unconstrained_variables() {
+fn parallel_gauss_newton_detects_unconstrained_variables() {
     use orianna::graph::{FactorGraph, PriorFactor};
     use orianna::lie::Pose2;
     let mut g = FactorGraph::new();
-    let a = g.add_pose2(Pose2::identity());
+    let a = g.add_pose2(Pose2::new(0.1, 0.2, 0.3));
     let _b = g.add_pose2(Pose2::identity()); // no factor touches b
     g.add_factor(PriorFactor::pose2(a, Pose2::identity(), 0.1));
-    let sys = g.linearize();
-    let err =
-        eliminate_with(&sys, &natural_ordering(&g), &Parallelism::with_threads(4)).unwrap_err();
+    let err = GaussNewton::new(GaussNewtonSettings {
+        parallelism: Parallelism::with_threads(4),
+        ..Default::default()
+    })
+    .optimize(&mut g)
+    .unwrap_err();
     assert!(matches!(err, SolveError::UnconstrainedVariable(v) if v.0 == 1));
 }
 

@@ -3,20 +3,17 @@
 //!
 //! A [`SolvePlan`] captures everything about an elimination that depends
 //! only on graph *structure* — resolved ordering, gather lists, separator
-//! layouts, stacked-matrix shapes, and the deterministic parallel batch
-//! schedule. Executing the plan must therefore be indistinguishable from
-//! the plan-less path, on every benchmark application and under every
-//! `Parallelism` setting:
+//! layouts, stacked-matrix shapes, and the arena layout. Executing the
+//! plan must therefore be indistinguishable from the plan-less path, on
+//! every benchmark application and under every `Parallelism` setting:
 //!
-//! * serial plan execution is **bitwise identical** to [`eliminate`];
-//! * parallel plan execution is bitwise deterministic with respect to the
-//!   thread count, and solves for the same Δ as serial to `< 1e-12`;
-//! * one plan instance serves *all* parallelism settings — the schedule
-//!   choice happens at execute time, not build time.
+//! * plan execution is **bitwise identical** to [`eliminate`];
+//! * one plan and one workspace serve *all* parallelism settings — the
+//!   solve is serial, so `Parallelism` never changes its result.
 
 use orianna::apps::all_apps;
 use orianna::graph::natural_ordering;
-use orianna::math::{Parallelism, Vec64};
+use orianna::math::Parallelism;
 use orianna::solver::{eliminate, BayesNet, PlanCache, SolvePlan};
 
 fn conditionals_bitwise_eq(a: &BayesNet, b: &BayesNet) -> bool {
@@ -42,7 +39,7 @@ fn planned_serial_solve_is_bitwise_identical_on_every_app() {
                 .unwrap_or_else(|e| panic!("{}/{}: {e}", app.name, algo.name));
             let sys = algo.graph.linearize();
             let (reference, ref_stats) = eliminate(&sys, &ordering).unwrap();
-            let (planned, stats) = plan.execute(&sys, &Parallelism::serial()).unwrap();
+            let (planned, stats) = plan.execute(&sys).unwrap();
             assert!(
                 conditionals_bitwise_eq(&planned, &reference),
                 "{}/{}",
@@ -68,37 +65,20 @@ fn one_plan_serves_every_parallelism_setting_on_every_app() {
             let ordering = natural_ordering(&algo.graph);
             let plan = SolvePlan::for_graph(&algo.graph, ordering.as_slice()).unwrap();
             let sys = algo.graph.linearize();
-            let serial_delta = plan
-                .execute(&sys, &Parallelism::serial())
-                .unwrap()
-                .0
-                .back_substitute()
-                .unwrap();
-            let mut baseline: Option<Vec64> = None;
-            for threads in [2, 4, 8] {
-                let delta = plan
-                    .execute(&sys, &Parallelism::with_threads(threads))
-                    .unwrap()
-                    .0
-                    .back_substitute()
-                    .unwrap();
-                // Parallel execution is bitwise deterministic in the
-                // thread count: batch formation is a pure function of
-                // structure, and merges happen in batch order.
-                match &baseline {
-                    None => baseline = Some(delta.clone()),
-                    Some(b) => assert_eq!(
-                        delta.as_slice(),
-                        b.as_slice(),
-                        "{}/{} threads={threads}",
-                        app.name,
-                        algo.name
-                    ),
-                }
-                let diff = (&delta - &serial_delta).norm();
-                assert!(
-                    diff / serial_delta.norm().max(1.0) < 1e-12,
-                    "{}/{} threads={threads}: {diff:e}",
+            let serial_delta = plan.execute(&sys).unwrap().0.back_substitute().unwrap();
+            let mut ws = plan.workspace();
+            for par in [
+                Parallelism::serial(),
+                Parallelism::with_threads(2),
+                Parallelism::with_threads(4),
+                Parallelism::with_threads(8),
+                Parallelism::default(),
+            ] {
+                let delta = plan.solve_in_with(&sys, &mut ws, &par).unwrap();
+                assert_eq!(
+                    delta.as_slice(),
+                    serial_delta.as_slice(),
+                    "{}/{} {par:?}",
                     app.name,
                     algo.name
                 );
