@@ -7,8 +7,8 @@ use crate::eval::{evaluate_app, simulate_algo, AppEvaluation};
 use orianna_apps::{all_apps, run_sphere, success_rate, Pipeline};
 use orianna_baselines::vanilla_hls_resources;
 use orianna_hw::{
-    manual_matmul_heavy, manual_qr_heavy, manual_uniform, IssuePolicy, Objective, Resources,
-    Workload,
+    generate_with, manual_matmul_heavy, manual_qr_heavy, manual_uniform, DseContext, IssuePolicy,
+    Objective, Resources, SimReport, Workload,
 };
 use std::fmt::Write as _;
 
@@ -433,13 +433,39 @@ pub fn fig18(evals: &[AppEvaluation]) -> String {
     s
 }
 
-/// Fig. 19/20 — generated vs manually-designed accelerators under a DSP
-/// budget sweep (speedup vs Intel; energy).
-pub fn fig19_20() -> String {
+/// One DSP budget of the Fig. 19/20 sweep: the generated designs and the
+/// manual allocations, each simulated out-of-order on the frame workload.
+#[derive(Debug)]
+pub(crate) struct DspBudgetRow {
+    /// The DSP budget (LUT/FF/BRAM stay at the ZC706 limits).
+    pub(crate) dsp: u64,
+    /// Fig. 19: the latency-objective generated design.
+    pub(crate) gen_latency: SimReport,
+    /// Fig. 20: the energy-objective generated design.
+    pub(crate) gen_energy: SimReport,
+    /// The manual allocations: uniform, matmul-heavy, QR-heavy.
+    pub(crate) manual: [SimReport; 3],
+}
+
+/// The Fig. 19/20 budget sweep on the mobile robot, with the DSE context
+/// that scored it.
+#[derive(Debug)]
+pub(crate) struct DspSweep {
+    /// Intel baseline frame time (ms), the speedup reference.
+    pub(crate) intel_ms: f64,
+    /// One row per DSP budget, ascending.
+    pub(crate) rows: Vec<DspBudgetRow>,
+    /// The shared context: its memo counters and Pareto frontier cover
+    /// every design the sweep scored.
+    pub(crate) ctx: DseContext,
+}
+
+/// Runs the Fig. 19/20 sweep: generated (latency and energy objectives)
+/// and manual designs at every DSP budget.
+pub(crate) fn dsp_sweep() -> DspSweep {
     let apps = all_apps(SEED);
     let app = &apps[0]; // mobile robot, as a representative workload
     let eval = evaluate_app(app, &Resources::zc706());
-    let intel_ms = eval.intel.time_ms;
     let streams: Vec<_> = eval
         .algos
         .iter()
@@ -452,7 +478,44 @@ pub fn fig19_20() -> String {
     // One DSE context for the whole sweep: the workload is decoded once,
     // and candidate configurations revisited across budgets/objectives
     // (including the shared manual fallbacks) hit the simulation memo.
-    let mut ctx = orianna_hw::DseContext::new(&wl);
+    let mut ctx = DseContext::new(&wl);
+    let rows = [150u64, 250, 400, 600, 900]
+        .map(|dsp| {
+            let budget = Resources {
+                dsp,
+                ..Resources::zc706()
+            };
+            let gen_latency = generate_with(&mut ctx, &budget, Objective::Latency).report;
+            let gen_energy = generate_with(&mut ctx, &budget, Objective::Energy).report;
+            let manual = [
+                manual_uniform(&budget),
+                manual_matmul_heavy(&budget),
+                manual_qr_heavy(&budget),
+            ]
+            .map(|cfg| ctx.simulate(&cfg, IssuePolicy::OutOfOrder));
+            DspBudgetRow {
+                dsp,
+                gen_latency,
+                gen_energy,
+                manual,
+            }
+        })
+        .into();
+    DspSweep {
+        intel_ms: eval.intel.time_ms,
+        rows,
+        ctx,
+    }
+}
+
+/// Fig. 19/20 — generated vs manually-designed accelerators under a DSP
+/// budget sweep (speedup vs Intel; energy).
+pub fn fig19_20() -> String {
+    let DspSweep {
+        intel_ms,
+        rows,
+        ctx,
+    } = dsp_sweep();
     let mut s = String::new();
     writeln!(
         s,
@@ -465,30 +528,14 @@ pub fn fig19_20() -> String {
         "DSP", "gen", "uniform", "mm-heavy", "qr-heavy", "E:gen", "E:unif", "E:mm", "E:qr"
     )
     .unwrap();
-    for dsp in [150u64, 250, 400, 600, 900] {
-        let budget = Resources {
-            lut: 218_600,
-            ff: 437_200,
-            bram: 545,
-            dsp,
-        };
-        // Fig. 19: latency-objective generation; Fig. 20: energy-objective.
-        let gen_lat = orianna_hw::generate_with(&mut ctx, &budget, Objective::Latency);
-        let gen_energy = orianna_hw::generate_with(&mut ctx, &budget, Objective::Energy);
-        let mut row = format!("{:>5} | {:>9.2}", dsp, intel_ms / gen_lat.report.time_ms);
-        let mut energies = vec![gen_energy.report.energy_mj];
-        for cfg in [
-            manual_uniform(&budget),
-            manual_matmul_heavy(&budget),
-            manual_qr_heavy(&budget),
-        ] {
-            let r = ctx.simulate(&cfg, IssuePolicy::OutOfOrder);
-            write!(row, " {:>9.2}", intel_ms / r.time_ms).unwrap();
-            energies.push(r.energy_mj);
+    for r in &rows {
+        let mut row = format!("{:>5} | {:>9.2}", r.dsp, intel_ms / r.gen_latency.time_ms);
+        for m in &r.manual {
+            write!(row, " {:>9.2}", intel_ms / m.time_ms).unwrap();
         }
         write!(row, " |").unwrap();
-        for e in energies {
-            write!(row, " {:>9.3}", e).unwrap();
+        for e in std::iter::once(&r.gen_energy).chain(&r.manual) {
+            write!(row, " {:>9.3}", e.energy_mj).unwrap();
         }
         writeln!(s, "{row}").unwrap();
     }
@@ -700,6 +747,33 @@ mod tests {
                 .unwrap_or(0);
             assert!(dense > 2 * max_sub, "{}: {} vs {}", a.name, dense, max_sub);
             assert!(a.elim_stats.mean_density() > a.dense_shape.2, "{}", a.name);
+        }
+    }
+
+    /// The Fig. 19/20 claim: at every DSP budget the latency-objective
+    /// design is at least as fast as each manual allocation, and the
+    /// energy-objective design uses at most as much energy (ties allowed).
+    #[test]
+    fn fig19_20_generated_designs_dominate_manual_ones() {
+        let sweep = dsp_sweep();
+        assert_eq!(sweep.rows.len(), 5);
+        for row in &sweep.rows {
+            for (name, m) in ["uniform", "mm-heavy", "qr-heavy"].iter().zip(&row.manual) {
+                assert!(
+                    row.gen_latency.cycles <= m.cycles,
+                    "DSP {}: generated {} cycles vs {name} {}",
+                    row.dsp,
+                    row.gen_latency.cycles,
+                    m.cycles
+                );
+                assert!(
+                    row.gen_energy.energy_mj <= m.energy_mj,
+                    "DSP {}: generated {} mJ vs {name} {}",
+                    row.dsp,
+                    row.gen_energy.energy_mj,
+                    m.energy_mj
+                );
+            }
         }
     }
 

@@ -205,7 +205,8 @@ impl DseContext {
     }
 
     /// [`Self::new`] with an explicit thread budget for the parallel
-    /// sweep and generation phases.
+    /// sweeps ([`Self::sweep`], [`Self::simulate_many`]); the greedy
+    /// generator walk ([`generate_with`]) is serial.
     pub fn with_parallelism(workload: &Workload<'_>, par: Parallelism) -> Self {
         Self::with_decoded(DecodedWorkload::decode(workload), par)
     }
@@ -526,6 +527,10 @@ pub fn generate(
 /// [`generate`] against a caller-owned [`DseContext`], sharing the decoded
 /// workload and the simulation memo across budgets and objectives (the
 /// Fig. 19/20 sweeps).
+///
+/// The walk is serial and lazy: each round scores its candidates one at
+/// a time in contention order and stops at the first accepted one, so
+/// its result and counters never depend on the thread budget.
 pub fn generate_with(
     ctx: &mut DseContext,
     budget: &Resources,
@@ -546,9 +551,9 @@ pub fn generate_with(
 
         // Acceptance needs a ≥0.5% improvement; a candidate whose
         // admissible lower bound already misses that threshold cannot be
-        // accepted, so it skips the scoreboard walk entirely. The skip
-        // rule depends only on the bound and the incumbent — never on
-        // evaluation order — so it is thread-count independent.
+        // accepted, so it skips the scoreboard walk entirely. The whole
+        // round is bound-checked up front (a few array reads per class),
+        // so the skip count depends only on the incumbent.
         let threshold = score(&report, objective) * 0.995;
         let mut round: Vec<(UnitClass, HwConfig)> = Vec::new();
         for (class, pressure) in classes {
@@ -570,13 +575,12 @@ pub fn generate_with(
             }
             round.push((class, candidate));
         }
-        // Surviving candidates score in parallel; acceptance still walks
-        // them in pressure order, so the greedy trajectory matches the
-        // serial lazy walk at any thread count.
-        let cands: Vec<HwConfig> = round.iter().map(|(_, c)| c.clone()).collect();
-        let cand_reports = ctx.simulate_many(&cands);
+        // Lazy greedy step: score the survivors in pressure order and
+        // accept the first that improves — the candidates behind it are
+        // never simulated.
         let mut improved = false;
-        for ((class, candidate), cand_report) in round.into_iter().zip(cand_reports) {
+        for (class, candidate) in round {
+            let cand_report = ctx.simulate(&candidate, IssuePolicy::OutOfOrder);
             if score(&cand_report, objective) < threshold {
                 history.push((class, cand_report.cycles));
                 config = candidate;

@@ -165,14 +165,6 @@ pub fn critical_path_cycles(workload: &Workload<'_>) -> u64 {
     best
 }
 
-/// One flattened instruction of a decoded workload.
-#[derive(Debug, Clone)]
-struct Node {
-    lat: u64,
-    class: UnitClass,
-    deps: Vec<usize>, // global ids
-}
-
 /// The *decoded* form of a [`Workload`]: instruction streams flattened
 /// into a global dependence graph, with latencies, unit classes, phase
 /// work, energies and operand shapes all resolved.
@@ -184,18 +176,35 @@ struct Node {
 /// the solver's symbolic/numeric separation: the workload's structure is
 /// fixed while the configuration under evaluation changes.
 ///
+/// Instructions are stored renumbered into the fixed out-of-order issue
+/// order, as flat arrays: latency and unit class per issue position, and
+/// the dependences in compressed-sparse-row form (`dep_start`, `deps`)
+/// naming producer issue positions. The issue order is topological, so
+/// every dependence points backwards and the out-of-order scoreboard is
+/// one linear sweep; the in-order controller walks program order through
+/// `issue_pos`.
+///
 /// Owns all of its data (no borrow of the source [`Workload`]), so a DSE
 /// context can hold it across an entire sweep.
 #[derive(Debug, Clone)]
 pub struct DecodedWorkload {
-    nodes: Vec<Node>,
-    /// OoO issue order: node ids sorted by dependence-only earliest start
-    /// time (ASAP), ties broken by id. The order is a topological sort
-    /// and — crucially — independent of the hardware configuration, which
-    /// makes the list scheduler free of Graham anomalies: growing any
-    /// unit pool can never reorder issue, so cycle counts are monotone
-    /// non-increasing in every unit count.
-    issue_order: Vec<usize>,
+    /// Latency (cycles, ≥ 1) per issue position. The issue order sorts
+    /// instructions by dependence-only earliest start time (ASAP), ties
+    /// broken by program position; it is independent of the hardware
+    /// configuration, which makes the list scheduler free of Graham
+    /// anomalies: growing any unit pool can never reorder issue, so cycle
+    /// counts are monotone non-increasing in every unit count.
+    lat: Vec<u64>,
+    /// Unit class per issue position.
+    class: Vec<UnitClass>,
+    /// Dependences of issue position `p` are
+    /// `deps[dep_start[p]..dep_start[p + 1]]`; `len = instructions + 1`.
+    dep_start: Vec<u32>,
+    /// Producer issue positions, grouped by consumer.
+    deps: Vec<u32>,
+    /// Issue position of each instruction in program order (streams
+    /// concatenated) — the in-order controller's dispatch sequence.
+    issue_pos: Vec<u32>,
     phase_work: Arc<BTreeMap<&'static str, u64>>,
     qrd_shapes: Arc<Vec<(usize, usize)>>,
     mm_shapes: Arc<Vec<(usize, usize)>>,
@@ -213,27 +222,52 @@ pub struct DecodedWorkload {
     class_tail_min: [u64; UnitClass::COUNT],
 }
 
+/// Narrows an instruction or dependence index to the `u32` the decoded
+/// arrays store. A workload with 2³² instructions or dependences would
+/// need hundreds of gigabytes of compiled program before decoding, so
+/// this is an invariant check, never a silent truncation.
+fn index_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("decoded workloads hold fewer than 2^32 instructions and dependences")
+}
+
 impl DecodedWorkload {
     /// Decodes a workload: flattens instructions with global ids (deps
-    /// resolved per stream) and precomputes every configuration-
-    /// independent aggregate.
+    /// resolved per stream), renumbers them into issue order, and
+    /// precomputes every configuration-independent aggregate.
     pub fn decode(workload: &Workload<'_>) -> Self {
-        let mut nodes: Vec<Node> = Vec::with_capacity(workload.num_instructions());
+        let n = workload.num_instructions();
+        // Program-order pass: latency, class and dependences (CSR over
+        // program positions) per instruction, the configuration-
+        // independent aggregates, and the dependence-only ASAP time —
+        // producers precede their consumers, so one forward pass
+        // suffices.
+        let mut lat_p: Vec<u64> = Vec::with_capacity(n);
+        let mut class_p: Vec<UnitClass> = Vec::with_capacity(n);
+        let mut asap: Vec<u64> = Vec::with_capacity(n);
+        let mut start_p: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut deps_p: Vec<u32> = Vec::with_capacity(2 * n);
+        start_p.push(0);
         let mut phase_work: BTreeMap<&'static str, u64> = BTreeMap::new();
         let mut qrd_shapes = Vec::new();
         let mut mm_shapes = Vec::new();
         let mut dyn_energy_nj = 0.0;
-        let mut global_of: Vec<Vec<usize>> = Vec::new();
-        for (si, s) in workload.streams.iter().enumerate() {
+        let mut class_work = [0u64; UnitClass::COUNT];
+        let mut class_ready_min = [u64::MAX; UnitClass::COUNT];
+        for s in &workload.streams {
+            let base = lat_p.len();
             let producers = s.program.producers();
             for instr in &s.program.instrs {
-                let deps: Vec<usize> = instr
+                let mut ready = 0u64;
+                for d in instr
                     .srcs
                     .iter()
                     .filter_map(|r| producers[r.0])
-                    .map(|local| global_of[si][local])
-                    .collect();
-                let gid = nodes.len();
+                    .map(|p| base + p)
+                {
+                    ready = ready.max(asap[d] + lat_p[d]);
+                    deps_p.push(index_u32(d));
+                }
+                start_p.push(index_u32(deps_p.len()));
                 let lat = latency(&instr.op, instr.dims).max(1);
                 let class = instr.op.unit_class();
                 *phase_work.entry(phase_name(instr.phase)).or_insert(0) += lat;
@@ -243,53 +277,50 @@ impl DecodedWorkload {
                 } else if class == UnitClass::MatMul && instr.phase == Phase::Construct {
                     mm_shapes.push(instr.dims);
                 }
-                nodes.push(Node { lat, class, deps });
-                if global_of.len() == si {
-                    global_of.push(Vec::new());
-                }
-                global_of[si].push(gid);
-            }
-            if global_of.len() == si {
-                global_of.push(Vec::new());
+                let c = class.index();
+                class_work[c] += lat;
+                class_ready_min[c] = class_ready_min[c].min(ready);
+                lat_p.push(lat);
+                class_p.push(class);
+                asap.push(ready);
             }
         }
-        // Dependence-only ASAP time per node (deps always precede their
-        // consumers in the flattened trace, so one forward pass suffices).
-        let mut asap = vec![0u64; nodes.len()];
-        for gid in 0..nodes.len() {
-            asap[gid] = nodes[gid]
-                .deps
-                .iter()
-                .map(|&d| asap[d] + nodes[d].lat)
-                .max()
-                .unwrap_or(0);
+        let critical_path = (0..n).map(|g| asap[g] + lat_p[g]).max().unwrap_or(0);
+
+        // Issue order: ASAP, ties by program position (keys are unique).
+        let mut order: Vec<u32> = (0..n).map(index_u32).collect();
+        order.sort_unstable_by_key(|&g| (asap[g as usize], g));
+        let mut issue_pos = vec![0u32; n];
+        for (p, &g) in order.iter().enumerate() {
+            issue_pos[g as usize] = index_u32(p);
         }
-        let mut issue_order: Vec<usize> = (0..nodes.len()).collect();
-        issue_order.sort_by_key(|&gid| (asap[gid], gid));
-        // Dependence-only tail per node: the longest latency path strictly
-        // after the node's completion. One reverse pass (consumers always
-        // follow their producers in the trace).
-        let mut tail = vec![0u64; nodes.len()];
-        for gid in (0..nodes.len()).rev() {
-            let down = tail[gid] + nodes[gid].lat;
-            for &d in &nodes[gid].deps {
+        let mut lat = Vec::with_capacity(n);
+        let mut class = Vec::with_capacity(n);
+        let mut dep_start = Vec::with_capacity(n + 1);
+        let mut deps = Vec::with_capacity(deps_p.len());
+        dep_start.push(0);
+        for &g in &order {
+            let g = g as usize;
+            lat.push(lat_p[g]);
+            class.push(class_p[g]);
+            let own = &deps_p[start_p[g] as usize..start_p[g + 1] as usize];
+            deps.extend(own.iter().map(|&d| issue_pos[d as usize]));
+            dep_start.push(index_u32(deps.len()));
+        }
+
+        // Dependence-only tail per instruction: the longest latency path
+        // strictly after its completion. One reverse pass in issue order
+        // (consumers always follow their producers).
+        let mut tail = vec![0u64; n];
+        let mut class_tail_min = [u64::MAX; UnitClass::COUNT];
+        for p in (0..n).rev() {
+            let down = tail[p] + lat[p];
+            for &d in &deps[dep_start[p] as usize..dep_start[p + 1] as usize] {
+                let d = d as usize;
                 tail[d] = tail[d].max(down);
             }
-        }
-        let critical_path = nodes
-            .iter()
-            .enumerate()
-            .map(|(gid, n)| asap[gid] + n.lat)
-            .max()
-            .unwrap_or(0);
-        let mut class_work = [0u64; UnitClass::COUNT];
-        let mut class_ready_min = [u64::MAX; UnitClass::COUNT];
-        let mut class_tail_min = [u64::MAX; UnitClass::COUNT];
-        for (gid, n) in nodes.iter().enumerate() {
-            let c = n.class.index();
-            class_work[c] += n.lat;
-            class_ready_min[c] = class_ready_min[c].min(asap[gid]);
-            class_tail_min[c] = class_tail_min[c].min(tail[gid]);
+            let c = class[p].index();
+            class_tail_min[c] = class_tail_min[c].min(tail[p]);
         }
         for c in 0..UnitClass::COUNT {
             if class_work[c] == 0 {
@@ -298,8 +329,11 @@ impl DecodedWorkload {
             }
         }
         Self {
-            nodes,
-            issue_order,
+            lat,
+            class,
+            dep_start,
+            deps,
+            issue_pos,
             phase_work: Arc::new(phase_work),
             qrd_shapes: Arc::new(qrd_shapes),
             mm_shapes: Arc::new(mm_shapes),
@@ -311,14 +345,20 @@ impl DecodedWorkload {
         }
     }
 
+    /// Producer issue positions of the instruction at issue position `p`.
+    fn deps_of(&self, p: usize) -> &[u32] {
+        &self.deps[self.dep_start[p] as usize..self.dep_start[p + 1] as usize]
+    }
+
     /// Instructions in the decoded trace.
     pub fn num_instructions(&self) -> usize {
-        self.nodes.len()
+        self.lat.len()
     }
 
     /// Scoreboard cost model for the parallel gate: one list-scheduling
-    /// pass costs roughly this many flop-equivalent work units per node
-    /// (dependence scan, pool scan, heap churn — tens of nanoseconds).
+    /// pass costs roughly this many flop-equivalent work units per
+    /// instruction (a dependence scan over the flat CSR arrays plus a
+    /// unit-pool min-scan — tens of nanoseconds).
     /// Calibrated with the bench suite (DESIGN §3.2.4).
     pub const SIM_NODE_WORK: u64 = 64;
 
@@ -327,7 +367,7 @@ impl DecodedWorkload {
     /// against `candidates` configurations — what the DSE sweeps hand to
     /// the auto-mode cost gate before fanning out.
     pub fn sweep_work(&self, candidates: usize) -> u64 {
-        candidates as u64 * self.nodes.len() as u64 * Self::SIM_NODE_WORK
+        candidates as u64 * self.lat.len() as u64 * Self::SIM_NODE_WORK
     }
 
     /// Dependence-only critical path in cycles — the makespan with
@@ -439,7 +479,7 @@ pub fn try_simulate_decoded(
 /// Reusable scoreboard buffers for [`simulate_decoded_with`].
 ///
 /// A DSE sweep scoreboards one decoded workload against hundreds of
-/// candidate configurations; holding the per-node finish times and the
+/// candidate configurations; holding the per-instruction finish times and the
 /// per-class unit pools here lets every evaluation after the first run
 /// without heap allocation.
 #[derive(Debug, Clone, Default)]
@@ -486,9 +526,10 @@ pub fn simulate_decoded_with(
     policy: IssuePolicy,
     scratch: &mut SimScratch,
 ) -> SimReport {
-    let nodes = &decoded.nodes;
+    let n = decoded.num_instructions();
     scratch.finish.clear();
-    scratch.finish.resize(nodes.len(), 0);
+    scratch.finish.resize(n, 0);
+    // Finish time per issue position.
     let finish = &mut scratch.finish;
     // Per-class tallies live in flat arrays indexed by `UnitClass::index`;
     // `seen` records which classes actually issued so the report maps keep
@@ -500,49 +541,62 @@ pub fn simulate_decoded_with(
 
     match policy {
         IssuePolicy::InOrder => {
-            // Serial dispatch in stream-concatenated order. `waited` uses
-            // the same `start - ready` accounting as the out-of-order
-            // branch: how long the instruction sat dependence-ready before
-            // the serial controller dispatched it.
+            // Serial dispatch in stream-concatenated program order.
+            // `waited` uses the same `start - ready` accounting as the
+            // out-of-order branch: how long the instruction sat
+            // dependence-ready before the serial controller dispatched it.
             let mut t = 0u64;
-            for (gid, n) in nodes.iter().enumerate() {
-                let ready = n.deps.iter().map(|&d| finish[d]).max().unwrap_or(0);
+            for &p in &decoded.issue_pos {
+                let p = p as usize;
+                let ready = decoded
+                    .deps_of(p)
+                    .iter()
+                    .map(|&d| finish[d as usize])
+                    .max()
+                    .unwrap_or(0);
+                let lat = decoded.lat[p];
                 let start = t.max(ready);
-                let end = start + n.lat;
-                finish[gid] = end;
+                let end = start + lat;
+                finish[p] = end;
                 t = end;
-                let c = n.class.index();
-                busy[c] += n.lat;
+                let c = decoded.class[p].index();
+                busy[c] += lat;
                 waited[c] += start - ready;
                 seen[c] = true;
             }
             makespan = t;
         }
         IssuePolicy::OutOfOrder => {
-            // List scheduling in the decoded ASAP priority order; each
-            // class has `count` units whose free times live in a flat
-            // pool (unit counts are small, so a linear min-scan beats a
-            // heap). The priority order is topological and fixed per
-            // workload (never per configuration), so every node's ready
-            // time and the pool free-time multisets are monotone in unit
-            // counts — adding a unit can never slow the schedule down
-            // (no Graham anomalies).
+            // List scheduling in the decoded issue order — one linear
+            // sweep, since every dependence points at an earlier
+            // position. Each class has `count` units whose free times
+            // live in a flat pool (unit counts are small, so a linear
+            // min-scan beats a heap). The order is topological and fixed
+            // per workload (never per configuration), so every
+            // instruction's ready time and the pool free-time multisets
+            // are monotone in unit counts — adding a unit can never slow
+            // the schedule down (no Graham anomalies).
             scratch.pools.resize(UnitClass::COUNT, Vec::new());
             for c in UnitClass::ALL {
                 let pool = &mut scratch.pools[c.index()];
                 pool.clear();
                 pool.resize(config.count(c), 0);
             }
-            for &gid in &decoded.issue_order {
-                let n = &nodes[gid];
-                let ready = n.deps.iter().map(|&d| finish[d]).max().unwrap_or(0);
-                let c = n.class.index();
+            for p in 0..n {
+                let ready = decoded
+                    .deps_of(p)
+                    .iter()
+                    .map(|&d| finish[d as usize])
+                    .max()
+                    .unwrap_or(0);
+                let lat = decoded.lat[p];
+                let c = decoded.class[p].index();
                 let pool = &mut scratch.pools[c];
                 // Every class has a non-empty pool (`HwConfig` guarantees
                 // ≥ 1 unit per class); fall back benignly instead of
                 // panicking if that invariant is ever violated.
                 let start = if pool.is_empty() {
-                    pool.push(ready + n.lat);
+                    pool.push(ready + lat);
                     ready
                 } else {
                     let mut mi = 0;
@@ -552,13 +606,13 @@ pub fn simulate_decoded_with(
                         }
                     }
                     let start = ready.max(pool[mi]);
-                    pool[mi] = start + n.lat;
+                    pool[mi] = start + lat;
                     start
                 };
-                let end = start + n.lat;
-                finish[gid] = end;
+                let end = start + lat;
+                finish[p] = end;
                 makespan = makespan.max(end);
-                busy[c] += n.lat;
+                busy[c] += lat;
                 waited[c] += start - ready;
                 seen[c] = true;
             }
@@ -582,7 +636,7 @@ pub fn simulate_decoded_with(
         unit_busy,
         contention,
         phase_work: Arc::clone(&decoded.phase_work),
-        instructions: nodes.len(),
+        instructions: n,
         qrd_shapes: Arc::clone(&decoded.qrd_shapes),
         mm_shapes: Arc::clone(&decoded.mm_shapes),
     }
