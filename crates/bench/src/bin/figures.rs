@@ -47,7 +47,7 @@ fn main() {
             "t1" => figures::tbl1(),
             "macs" => figures::macs_saving(),
             "t4" => figures::tbl4(),
-            "t5" => figures::tbl5(30),
+            "t5" => figures::tbl5(figures::TBL5_MISSIONS),
             "f13" => figures::fig13(evals.as_ref().unwrap()),
             "f14" => figures::fig14(evals.as_ref().unwrap()),
             "f15" => figures::fig15(evals.as_ref().unwrap()),

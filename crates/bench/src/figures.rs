@@ -4,7 +4,7 @@
 //! prints them and EXPERIMENTS.md records paper-vs-measured.
 
 use crate::eval::{evaluate_app, simulate_algo, AppEvaluation};
-use orianna_apps::{all_apps, run_sphere, success_rate, Pipeline};
+use orianna_apps::{all_apps, run_sphere, success_rate, Pipeline, SuccessRate};
 use orianna_baselines::vanilla_hls_resources;
 use orianna_hw::{
     generate_with, manual_matmul_heavy, manual_qr_heavy, manual_uniform, DseContext, IssuePolicy,
@@ -105,6 +105,24 @@ pub fn tbl4() -> String {
     s
 }
 
+/// Randomized missions per application behind Tbl. 5.
+pub const TBL5_MISSIONS: usize = 30;
+
+/// Tbl. 5 rows: per application, the software and ORIANNA pipelines'
+/// mission success rates over `missions` randomized missions.
+pub fn tbl5_rates(missions: usize) -> Vec<(&'static str, SuccessRate, SuccessRate)> {
+    ["MobileRobot", "Manipulator", "AutoVehicle", "Quadrotor"]
+        .into_iter()
+        .map(|app| {
+            (
+                app,
+                success_rate(app, missions, Pipeline::Software),
+                success_rate(app, missions, Pipeline::Orianna),
+            )
+        })
+        .collect()
+}
+
 /// Tbl. 5 — mission success rates, software vs ORIANNA pipeline.
 pub fn tbl5(missions: usize) -> String {
     let mut s = String::new();
@@ -114,9 +132,7 @@ pub fn tbl5(missions: usize) -> String {
     )
     .unwrap();
     writeln!(s, "{:<12} {:>10} {:>10}", "App", "Software", "ORIANNA").unwrap();
-    for app in ["MobileRobot", "Manipulator", "AutoVehicle", "Quadrotor"] {
-        let sw = success_rate(app, missions, Pipeline::Software);
-        let hw = success_rate(app, missions, Pipeline::Orianna);
+    for (app, sw, hw) in tbl5_rates(missions) {
         writeln!(
             s,
             "{:<12} {:>9.1}% {:>9.1}%",
@@ -798,6 +814,17 @@ mod tests {
             points,
             "one row per frontier point"
         );
+    }
+
+    /// The Tbl. 5 claim: over the printed missions, the software solver
+    /// and the ORIANNA pipeline succeed on exactly the same number of
+    /// missions for every application.
+    #[test]
+    fn tbl5_pipelines_succeed_equally() {
+        for (app, sw, hw) in tbl5_rates(TBL5_MISSIONS) {
+            assert_eq!(sw.total, TBL5_MISSIONS, "{app}");
+            assert_eq!(sw, hw, "{app}: software vs ORIANNA success");
+        }
     }
 
     #[test]

@@ -220,9 +220,8 @@ impl EliminationStats {
 
 /// Eliminates one variable given its gathered live adjacent factors: the
 /// single dense sub-problem of paper Fig. 5. Pure function of its inputs —
-/// the plan-less sweep ([`eliminate`]), the plan executor's reference
-/// path and the incremental solver all call it, so every path runs
-/// identical arithmetic.
+/// the allocating [`sweep`] and the incremental solver's marginalization
+/// both call it, so every allocating path runs identical arithmetic.
 ///
 /// Returns the conditional, the new separator factor (when any non-trivial
 /// rows remain) and the size/density record for this step.
@@ -244,36 +243,6 @@ pub(crate) fn eliminate_step(
         }
     }
     seps.sort();
-    eliminate_step_with_seps(v, gathered, var_dims, seps)
-}
-
-/// [`eliminate_step`] with the separator layout supplied by the caller.
-/// The plan executor ([`crate::plan::SolvePlan::execute`]) derives `seps`
-/// symbolically once and passes it here every iteration, skipping the
-/// per-step separator scan. `seps` must equal the sorted separators of
-/// `gathered` (debug-asserted).
-pub(crate) fn eliminate_step_with_seps(
-    v: VarId,
-    gathered: &[Arc<LinearFactor>],
-    var_dims: &[usize],
-    seps: Vec<VarId>,
-) -> Result<(Conditional, Option<LinearFactor>, EliminationStep), SolveError> {
-    if gathered.is_empty() {
-        return Err(SolveError::UnconstrainedVariable(v));
-    }
-    #[cfg(debug_assertions)]
-    {
-        let mut expect: Vec<VarId> = Vec::new();
-        for f in gathered {
-            for k in &f.keys {
-                if *k != v && !expect.contains(k) {
-                    expect.push(*k);
-                }
-            }
-        }
-        expect.sort();
-        debug_assert_eq!(seps, expect, "separator layout mismatch for {v}");
-    }
     let dv = var_dims[v.0];
     let sep_cols: usize = seps.iter().map(|s| var_dims[s.0]).sum();
     let total_rows: usize = gathered.iter().map(|f| f.rows()).sum();
@@ -393,37 +362,88 @@ pub(crate) fn eliminate_step_with_seps(
     Ok((conditional, new_factor, step))
 }
 
-/// Live factor work-list: `None` = consumed by an earlier elimination.
-type WorkList = Vec<Option<Arc<LinearFactor>>>;
+/// The per-step outputs of one allocating elimination [`sweep`], in
+/// elimination order.
+#[derive(Debug)]
+pub(crate) struct Sweep {
+    /// The conditional of every eliminated variable.
+    pub conditionals: Vec<Conditional>,
+    /// The separator factor each step produced (the Bayes tree's clique
+    /// messages): `None` where a step had no separators or shed every
+    /// remainder row.
+    pub msgs: Vec<Option<Arc<LinearFactor>>>,
+    /// The size/density record of every step.
+    pub steps: Vec<EliminationStep>,
+}
 
-fn build_worklist(system: &LinearSystem) -> (WorkList, Vec<Vec<usize>>) {
-    let work: WorkList = system
-        .factors
-        .iter()
-        .cloned()
-        .map(|f| Some(Arc::new(f)))
-        .collect();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); system.var_dims.len()];
-    for (fi, f) in system.factors.iter().enumerate() {
+/// The allocating elimination sweep: eliminates `order` out of `factors`,
+/// gathering each variable's live adjacent factors in creation order
+/// (base factors first, then separator factors as earlier steps produce
+/// them) and handing them to [`eliminate_step`].
+///
+/// `order` may be a subset of the variables (the incremental solver's
+/// affected window, a plan's partial order); factors keyed on variables
+/// outside it simply keep those variables as separators. Every allocating
+/// path — [`eliminate`], [`SolvePlan::execute`](crate::plan::SolvePlan::execute),
+/// the arena fallback and the Bayes tree's re-elimination — runs this one
+/// sweep, so they agree bitwise.
+pub(crate) fn sweep(
+    factors: Vec<Arc<LinearFactor>>,
+    order: &[VarId],
+    var_dims: &[usize],
+) -> Result<Sweep, SolveError> {
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); var_dims.len()];
+    for (fi, f) in factors.iter().enumerate() {
         for k in &f.keys {
             adj[k.0].push(fi);
         }
     }
-    (work, adj)
+    // Live factor work-list: `None` = consumed by an earlier step.
+    let mut work: Vec<Option<Arc<LinearFactor>>> = factors.into_iter().map(Some).collect();
+    let mut out = Sweep {
+        conditionals: Vec::with_capacity(order.len()),
+        msgs: Vec::with_capacity(order.len()),
+        steps: Vec::with_capacity(order.len()),
+    };
+    for &v in order {
+        let gathered: Vec<Arc<LinearFactor>> =
+            adj[v.0].iter().filter_map(|&fi| work[fi].take()).collect();
+        let (conditional, new_factor, step) = eliminate_step(v, &gathered, var_dims)?;
+        let msg = new_factor.map(Arc::new);
+        if let Some(nf) = &msg {
+            for k in &nf.keys {
+                adj[k.0].push(work.len());
+            }
+            work.push(Some(Arc::clone(nf)));
+        }
+        out.conditionals.push(conditional);
+        out.msgs.push(msg);
+        out.steps.push(step);
+    }
+    Ok(out)
 }
 
-fn push_new_factor(work: &mut WorkList, adj: &mut [Vec<usize>], nf: LinearFactor) {
-    let fi = work.len();
-    for k in &nf.keys {
-        adj[k.0].push(fi);
-    }
-    work.push(Some(Arc::new(nf)));
+/// Eliminates `order` (a subset of the variables is allowed) out of a
+/// linear system through the one allocating [`sweep`].
+pub(crate) fn eliminate_order(
+    system: &LinearSystem,
+    order: &[VarId],
+) -> Result<(BayesNet, EliminationStats), SolveError> {
+    let factors = system.factors.iter().cloned().map(Arc::new).collect();
+    let out = sweep(factors, order, &system.var_dims)?;
+    Ok((
+        BayesNet {
+            conditionals: out.conditionals,
+            var_dims: system.var_dims.clone(),
+        },
+        EliminationStats { steps: out.steps },
+    ))
 }
 
 /// Eliminates every variable of `system` in `ordering`, producing the
-/// Bayes net and the per-step statistics. This is the plan-less
-/// reference path; iterating callers build a
-/// [`SolvePlan`](crate::plan::SolvePlan) once instead.
+/// Bayes net and the per-step statistics. This is the plan-less path;
+/// iterating callers build a [`SolvePlan`](crate::plan::SolvePlan) once
+/// and solve in its arena instead.
 ///
 /// # Errors
 /// Returns an error when a variable is unconstrained or singular.
@@ -436,40 +456,7 @@ pub fn eliminate(
         system.var_dims.len(),
         "ordering must cover every variable"
     );
-    let var_dims = system.var_dims.clone();
-    let (mut work, mut adj) = build_worklist(system);
-    let mut conditionals = Vec::with_capacity(ordering.len());
-    let mut stats = EliminationStats::default();
-
-    for &v in ordering.as_slice() {
-        // Gather live adjacent factors.
-        let factor_ids: Vec<usize> = adj[v.0]
-            .iter()
-            .copied()
-            .filter(|&fi| work[fi].is_some())
-            .collect();
-        if factor_ids.is_empty() {
-            return Err(SolveError::UnconstrainedVariable(v));
-        }
-        let gathered: Vec<Arc<LinearFactor>> = factor_ids
-            .iter()
-            .map(|&fi| work[fi].take().unwrap())
-            .collect();
-        let (conditional, new_factor, step) = eliminate_step(v, &gathered, &var_dims)?;
-        stats.steps.push(step);
-        conditionals.push(conditional);
-        if let Some(nf) = new_factor {
-            push_new_factor(&mut work, &mut adj, nf);
-        }
-    }
-
-    Ok((
-        BayesNet {
-            conditionals,
-            var_dims,
-        },
-        stats,
-    ))
+    eliminate_order(system, ordering.as_slice())
 }
 
 #[cfg(test)]

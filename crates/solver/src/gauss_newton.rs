@@ -7,9 +7,9 @@
 //! collision costs, camera projections).
 
 use crate::elimination::{EliminationStats, SolveError};
-use crate::plan::{PlanCache, SolvePlan};
+use crate::plan::{PlanCache, PlanSource, SolvePlan};
 use crate::workspace::Workspace;
-use orianna_graph::{min_degree_ordering, natural_ordering, FactorGraph, Ordering};
+use orianna_graph::{min_degree_ordering, natural_ordering, FactorGraph, LinearSystem, Ordering};
 use orianna_math::{Parallelism, Vec64};
 
 /// Which elimination ordering the solver uses.
@@ -122,7 +122,7 @@ impl GaussNewton {
     /// [`optimize`](GaussNewton::optimize) against an externally
     /// checked-out plan and workspace — the multi-tenant serving path,
     /// where a sharded cache owns both and hands them to whichever worker
-    /// thread executes the request. Runs the same arena solve
+    /// thread executes the request. Runs the same loop and arena solve
     /// ([`SolvePlan::solve_in`]), so the result is bitwise identical to
     /// [`optimize`](GaussNewton::optimize) over the same graph no matter
     /// how `parallelism` is configured.
@@ -136,61 +136,15 @@ impl GaussNewton {
         plan: &SolvePlan,
         ws: &mut Workspace,
     ) -> Result<GaussNewtonReport, SolveError> {
-        let s = &self.settings;
-        let initial_error = graph.total_error();
-        let mut error = initial_error;
-        let mut converged = error <= s.abs_tol;
-        let mut iterations = 0;
-        let mut sys = orianna_graph::LinearSystem {
-            factors: Vec::new(),
-            var_dims: Vec::new(),
-        };
-
-        while iterations < s.max_iterations && !converged {
-            iterations += 1;
-            graph.linearize_into(&s.parallelism, &mut sys);
-            let delta = plan.solve_in(&sys, ws)?;
-
-            let mut scale = 1.0;
-            let mut best: Option<(f64, Vec64)> = None;
-            for _ in 0..=s.max_step_halvings {
-                let step = delta.scale(scale);
-                let candidate = graph.values().retract_all(&step);
-                let e = graph.total_error_with(&candidate);
-                if e < error || s.max_step_halvings == 0 {
-                    best = Some((e, step));
-                    break;
-                }
-                if best.as_ref().is_none_or(|(be, _)| e < *be) {
-                    best = Some((e, step));
-                }
-                scale *= 0.5;
-            }
-            let (new_error, step) = best.expect("at least one candidate evaluated");
-            graph.retract_all(&step);
-
-            let improvement = (error - new_error).abs() / error.max(1e-300);
-            error = new_error;
-            if error <= s.abs_tol || improvement <= s.rel_tol {
-                converged = true;
-            }
-        }
-
-        Ok(GaussNewtonReport {
-            iterations,
-            initial_error,
-            final_error: error,
-            converged,
-            last_stats: EliminationStats {
-                steps: ws.stats().to_vec(),
-            },
-        })
+        self.run(graph, &mut PlanSource::Given(plan, ws))
     }
 
     /// [`optimize`](GaussNewton::optimize) with a caller-owned
     /// [`PlanCache`], letting repeated solves over the same topology
     /// (e.g. the mission harness's randomized trials — same structure,
-    /// different noise) skip the symbolic phase entirely.
+    /// different noise) skip the symbolic phase entirely. The cache is
+    /// consulted once per solve that iterates, and the workspace it lends
+    /// is parked back afterwards, also when the solve fails.
     ///
     /// # Errors
     /// Propagates [`SolveError`] from elimination.
@@ -199,38 +153,35 @@ impl GaussNewton {
         graph: &mut FactorGraph,
         cache: &mut PlanCache,
     ) -> Result<GaussNewtonReport, SolveError> {
+        let mut source = PlanSource::cached(cache, self.settings.ordering.cache_tag());
+        let report = self.run(graph, &mut source);
+        source.park();
+        report
+    }
+
+    /// The Gauss-Newton loop behind every entry point.
+    fn run(
+        &self,
+        graph: &mut FactorGraph,
+        source: &mut PlanSource<'_>,
+    ) -> Result<GaussNewtonReport, SolveError> {
         let s = &self.settings;
         let initial_error = graph.total_error();
         let mut error = initial_error;
-        let mut last_stats = EliminationStats::default();
         let mut converged = error <= s.abs_tol;
         let mut iterations = 0;
-        let mut plan: Option<std::sync::Arc<SolvePlan>> = None;
-        let mut plan_fp: Option<u64> = None;
-        // Every solve runs against a reusable workspace arena: taken from
-        // the cache (parked there by an earlier solve over the same
-        // topology) or allocated once, then allocation-free per iteration.
-        let mut ws: Option<Workspace> = None;
+        // One linearization buffer serves every iteration.
+        let mut sys = LinearSystem {
+            factors: Vec::new(),
+            var_dims: Vec::new(),
+        };
 
         while iterations < s.max_iterations && !converged {
             iterations += 1;
-            let sys = graph.linearize_with(&s.parallelism);
-            if plan.is_none() {
-                // Lazy: already-converged graphs never pay the symbolic
-                // phase (and keep returning Ok even when structurally
-                // unsolvable, matching the pre-plan behavior).
-                let fp = sys.structure_fingerprint();
-                let built = cache.get_or_build(fp, s.ordering.cache_tag(), || {
-                    let ordering = s.ordering.resolve(graph);
-                    SolvePlan::for_system(&sys, ordering.as_slice())
-                })?;
-                ws = Some(cache.checkout_workspace(&built, s.ordering.cache_tag()));
-                plan = Some(built);
-                plan_fp = Some(fp);
-            }
-            let plan_ref = plan.as_ref().unwrap();
-            let w = ws.as_mut().expect("workspace checked out with the plan");
-            let delta: &Vec64 = plan_ref.solve_in(&sys, w)?;
+            graph.linearize_into(&s.parallelism, &mut sys);
+            let delta = source.solve_in(&sys, || {
+                SolvePlan::for_system(&sys, s.ordering.resolve(graph).as_slice())
+            })?;
 
             // Step-halving line search. Trial steps only move the
             // estimates, so each candidate is scored by re-evaluating the
@@ -261,21 +212,19 @@ impl GaussNewton {
             }
         }
 
-        // Arena path: the workspace holds the final iteration's stats;
-        // park the arena for the next solve over this topology.
-        if let (Some(w), Some(fp)) = (ws.take(), plan_fp) {
-            last_stats = EliminationStats {
-                steps: w.stats().to_vec(),
-            };
-            cache.store_workspace(fp, s.ordering.cache_tag(), w);
-        }
-
+        // The workspace holds the final iteration's stats; a run that
+        // never iterated solved nothing and reports none.
+        let steps = if iterations > 0 {
+            source.stats().to_vec()
+        } else {
+            Vec::new()
+        };
         Ok(GaussNewtonReport {
             iterations,
             initial_error,
             final_error: error,
             converged,
-            last_stats,
+            last_stats: EliminationStats { steps },
         })
     }
 }
@@ -449,6 +398,7 @@ mod tests {
 
         assert_eq!(r1.iterations, r2.iterations);
         assert_eq!(r1.final_error.to_bits(), r2.final_error.to_bits());
+        assert_eq!(r1.last_stats.steps, r2.last_stats.steps);
         for id in ids {
             let a = direct.values().get(id).as_pose2();
             let b = via_plan.values().get(id).as_pose2();
@@ -456,6 +406,68 @@ mod tests {
             assert_eq!(a.y().to_bits(), b.y().to_bits());
             assert_eq!(a.theta().to_bits(), b.theta().to_bits());
         }
+    }
+
+    /// A solve that never iterates reports no elimination stats on every
+    /// entry point, even through a workspace an earlier solve filled.
+    #[test]
+    fn zero_iteration_solves_report_no_stats() {
+        let build = |x: f64| {
+            let mut g = FactorGraph::new();
+            let a = g.add_pose2(Pose2::new(0.0, x, 0.0));
+            let b = g.add_pose2(Pose2::new(0.0, x + 1.0, 0.0));
+            g.add_factor(PriorFactor::pose2(a, Pose2::identity(), 0.1));
+            g.add_factor(BetweenFactor::pose2(a, b, Pose2::new(0.0, 1.0, 0.0), 0.1));
+            g
+        };
+        let serial = GaussNewton::new(GaussNewtonSettings {
+            parallelism: crate::Parallelism::serial(),
+            ..Default::default()
+        });
+        let mut noisy = build(0.5);
+        let plan = SolvePlan::for_graph(&noisy, natural_ordering(&noisy).as_slice()).unwrap();
+        let mut ws = plan.workspace();
+        let warm = serial
+            .optimize_with_plan(&mut noisy, &plan, &mut ws)
+            .unwrap();
+        assert!(warm.iterations > 0 && !warm.last_stats.steps.is_empty());
+
+        let direct = serial.optimize(&mut build(0.0)).unwrap();
+        let via_plan = serial
+            .optimize_with_plan(&mut build(0.0), &plan, &mut ws)
+            .unwrap();
+        assert_eq!((direct.iterations, via_plan.iterations), (0, 0));
+        assert!(direct.last_stats.steps.is_empty());
+        assert_eq!(via_plan.last_stats.steps, direct.last_stats.steps);
+    }
+
+    /// A solve that fails inside the arena still parks the workspace it
+    /// checked out: repeated failures reuse one arena instead of leaking
+    /// a fresh one each time.
+    #[test]
+    fn failing_cached_solves_park_their_workspace() {
+        let mut cache = PlanCache::new();
+        for _ in 0..3 {
+            // A constant residual has a zero Jacobian: the pose's
+            // elimination block is singular.
+            let mut g = FactorGraph::new();
+            let x = g.add_pose2(Pose2::identity());
+            g.add_factor(orianna_graph::CustomFactor::new(vec![x], 3, 1.0, |_, _| {
+                Vec64::from_slice(&[1.0, 1.0, 1.0])
+            }));
+            let err = GaussNewton::default()
+                .optimize_with_cache(&mut g, &mut cache)
+                .unwrap_err();
+            assert!(matches!(err, SolveError::SingularVariable(_)), "{err:?}");
+        }
+        assert_eq!(cache.workspace_builds(), 1);
+        assert_eq!(cache.workspace_reuses(), 2);
+        assert_eq!(cache.parked_workspaces(), 1);
+        // Every arena ever built is parked or evicted; none is lost.
+        assert_eq!(
+            cache.workspace_builds(),
+            cache.parked_workspaces() + cache.workspace_evictions()
+        );
     }
 
     #[test]

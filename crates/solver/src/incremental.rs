@@ -31,8 +31,8 @@
 //! the incremental solution equals the batch elimination of the same
 //! linearized factors at the same linearization points, to ≤1e-9.
 
-use crate::bayes_tree::{eliminate_capture, BayesTree};
-use crate::elimination::{eliminate_step, SolveError};
+use crate::bayes_tree::BayesTree;
+use crate::elimination::{eliminate_step, sweep, SolveError};
 use orianna_graph::{Factor, LinearContainerFactor, LinearFactor, Values, VarId, Variable};
 use orianna_math::Vec64;
 use std::collections::HashSet;
@@ -485,9 +485,9 @@ impl IncrementalSolver {
             }
         }
         // Eliminate first (pure); mutate the tree only on success.
-        let (conds, msgs) = eliminate_capture(work, &reelim, &self.var_dims)?;
+        let out = sweep(work, &reelim, &self.var_dims)?;
         self.tree.detach(&marked);
-        let new_slots = self.tree.attach(conds, msgs, &orphans);
+        let new_slots = self.tree.attach(out.conditionals, out.msgs, &orphans);
         self.cliques_reeliminated += new_slots.len();
         let mut forced = vec![false; self.tree.node_slots()];
         for &s in &new_slots {
@@ -520,9 +520,9 @@ impl IncrementalSolver {
             .flatten()
             .map(|e| e.linear.clone())
             .collect();
-        let (conds, msgs) = eliminate_capture(work, &order, &self.var_dims)?;
+        let out = sweep(work, &order, &self.var_dims)?;
         self.tree.clear();
-        let new_slots = self.tree.attach(conds, msgs, &[]);
+        let new_slots = self.tree.attach(out.conditionals, out.msgs, &[]);
         self.cliques_reeliminated += new_slots.len();
         self.delta = Vec64::zeros(self.lin_point.total_dim());
         let forced = vec![true; self.tree.node_slots()];

@@ -12,7 +12,7 @@
 
 use crate::elimination::SolveError;
 use crate::gauss_newton::OrderingChoice;
-use crate::plan::SolvePlan;
+use crate::plan::{PlanCache, PlanSource, SolvePlan};
 use crate::workspace::Workspace;
 use orianna_graph::{FactorGraph, LinearFactor, LinearSystem};
 use orianna_math::{Mat, Parallelism, Vec64};
@@ -100,7 +100,8 @@ impl LevenbergMarquardt {
         Self { settings }
     }
 
-    /// Optimizes the graph in place.
+    /// Optimizes the graph in place. The plan is built from the first
+    /// damped system and serves every later iteration.
     ///
     /// # Errors
     /// Propagates [`SolveError`] when even the damped system cannot be
@@ -111,57 +112,11 @@ impl LevenbergMarquardt {
         &self,
         graph: &mut FactorGraph,
     ) -> Result<LevenbergMarquardtReport, SolveError> {
-        let s = &self.settings;
-        let initial_error = graph.total_error();
-        let mut error = initial_error;
-        let mut lambda = s.initial_lambda;
-        let mut converged = error <= s.abs_tol;
-        let mut iterations = 0;
-        // The linearization buffer and the symbolic plan both persist
-        // across iterations: λ changes only the *values* of the damping
-        // rows, never the damped system's structure.
-        let mut sys = LinearSystem {
-            factors: Vec::new(),
-            var_dims: Vec::new(),
-        };
-        let mut plan: Option<SolvePlan> = None;
-        // Every iteration reuses one workspace arena — damping changes
-        // values only, so the layout stays valid.
-        let mut ws: Option<Workspace> = None;
-
-        while iterations < s.max_iterations && !converged && lambda <= s.max_lambda {
-            iterations += 1;
-            graph.linearize_into(&s.parallelism, &mut sys);
-            append_damping(&mut sys, lambda);
-            if plan.is_none() {
-                let ordering = s.ordering.resolve(graph);
-                plan = Some(SolvePlan::for_system(&sys, ordering.as_slice())?);
-            }
-            let plan_ref = plan.as_ref().unwrap();
-            let w = ws.get_or_insert_with(|| plan_ref.workspace());
-            let delta: &Vec64 = plan_ref.solve_in(&sys, w)?;
-            let candidate = graph.values().retract_all(delta);
-            let new_error = graph.total_error_with(&candidate);
-            if new_error < error {
-                *graph.values_mut() = candidate;
-                let improvement = (error - new_error) / error.max(1e-300);
-                error = new_error;
-                lambda = (lambda * s.lambda_down).max(1e-12);
-                if error <= s.abs_tol || improvement <= s.rel_tol {
-                    converged = true;
-                }
-            } else {
-                lambda *= s.lambda_up;
-            }
-        }
-
-        Ok(LevenbergMarquardtReport {
-            iterations,
-            initial_error,
-            final_error: error,
-            converged,
-            final_lambda: lambda,
-        })
+        let mut cache = PlanCache::new();
+        self.run(
+            graph,
+            &mut PlanSource::cached(&mut cache, self.settings.ordering.cache_tag()),
+        )
     }
 
     /// Builds the [`SolvePlan`] for the *damped* system of `graph` at the
@@ -194,8 +149,8 @@ impl LevenbergMarquardt {
     /// so LM serving sessions can share a cached plan instead of paying
     /// the symbolic phase per request. The plan must come from
     /// [`plan`](LevenbergMarquardt::plan) (or any structurally identical
-    /// damped system). Bitwise identical to plain `optimize` over the
-    /// same graph.
+    /// damped system). Runs the same loop, so it is bitwise identical to
+    /// plain `optimize` over the same graph.
     ///
     /// # Errors
     /// Propagates [`SolveError`]; `PlanMismatch` when the plan or
@@ -206,12 +161,24 @@ impl LevenbergMarquardt {
         plan: &SolvePlan,
         ws: &mut Workspace,
     ) -> Result<LevenbergMarquardtReport, SolveError> {
+        self.run(graph, &mut PlanSource::Given(plan, ws))
+    }
+
+    /// The Levenberg-Marquardt loop behind every entry point.
+    fn run(
+        &self,
+        graph: &mut FactorGraph,
+        source: &mut PlanSource<'_>,
+    ) -> Result<LevenbergMarquardtReport, SolveError> {
         let s = &self.settings;
         let initial_error = graph.total_error();
         let mut error = initial_error;
         let mut lambda = s.initial_lambda;
         let mut converged = error <= s.abs_tol;
         let mut iterations = 0;
+        // The linearization buffer and the plan both persist across
+        // iterations: λ changes only the *values* of the damping rows,
+        // never the damped system's structure.
         let mut sys = LinearSystem {
             factors: Vec::new(),
             var_dims: Vec::new(),
@@ -221,7 +188,9 @@ impl LevenbergMarquardt {
             iterations += 1;
             graph.linearize_into(&s.parallelism, &mut sys);
             append_damping(&mut sys, lambda);
-            let delta: &Vec64 = plan.solve_in(&sys, ws)?;
+            let delta = source.solve_in(&sys, || {
+                SolvePlan::for_system(&sys, s.ordering.resolve(graph).as_slice())
+            })?;
             let candidate = graph.values().retract_all(delta);
             let new_error = graph.total_error_with(&candidate);
             if new_error < error {

@@ -14,13 +14,14 @@
 //! * the structural `(rows × cols)` dimensions of every dense sub-problem,
 //! * the arena layout of the numeric phase ([`crate::workspace`]).
 //!
-//! The *numeric* phase ([`SolvePlan::execute`], [`SolvePlan::solve_in`])
-//! runs only the dense arithmetic: gather, stack, QR, split — no
-//! adjacency rebuilds, no separator scans. Executing a plan is **bitwise
-//! identical** to the plan-less serial path, because both follow the same
-//! gather order and run the same [`eliminate_step`](crate::elimination)
-//! arithmetic (asserted in `tests/plan.rs` for every benchmark
-//! application).
+//! The *numeric* phase ([`SolvePlan::solve_in`], [`SolvePlan::execute_in`])
+//! runs only the dense arithmetic inside the plan's workspace arena:
+//! gather, stack, QR, split — no adjacency rebuilds, no separator scans.
+//! It is **bitwise identical** to the plan-less path, because both follow
+//! the same gather order and run the same arithmetic (asserted in
+//! `tests/plan.rs` for every benchmark application).
+//! [`SolvePlan::execute`] and the arena's rare fallback run the plan-less
+//! allocating sweep over the plan's order instead.
 //!
 //! Execution is serial. The solver is the software reference; the
 //! elimination-tree parallelism of the paper lives in the generated
@@ -37,9 +38,7 @@
 //! system it is handed and returns [`SolveError::PlanMismatch`] on a stale
 //! plan rather than computing garbage.
 
-use crate::elimination::{
-    eliminate_step, eliminate_step_with_seps, BayesNet, Conditional, EliminationStats, SolveError,
-};
+use crate::elimination::{eliminate_order, BayesNet, EliminationStats, SolveError};
 use crate::workspace::{ArenaError, Workspace, WorkspaceLayout};
 use orianna_graph::{FactorGraph, LinearFactor, LinearSystem, VarId};
 use orianna_math::par::Parallelism;
@@ -64,14 +63,6 @@ struct PlanStep {
     /// Reserved slot for this step's separator factor, when one is
     /// structurally possible.
     new_slot: Option<usize>,
-}
-
-/// A symbolic elimination schedule: steps plus the slot-count of its
-/// work-list.
-#[derive(Debug, Clone)]
-struct Schedule {
-    steps: Vec<PlanStep>,
-    num_slots: usize,
 }
 
 /// Symbolic work-list used while building a schedule.
@@ -166,19 +157,16 @@ impl SymbolicWorklist {
             new_slot,
         })
     }
-
-    fn num_slots(&self) -> usize {
-        self.keys.len()
-    }
 }
 
-/// Builds the schedule: steps strictly in `order`.
+/// Builds the symbolic schedule: one step per variable, strictly in
+/// `order`.
 fn build_schedule(
     var_dims: &[usize],
     factor_keys: &[Vec<VarId>],
     factor_rows: &[usize],
     order: &[VarId],
-) -> Result<Schedule, SolveError> {
+) -> Result<Vec<PlanStep>, SolveError> {
     let mut wl = SymbolicWorklist::new(var_dims, factor_keys, factor_rows);
     let mut steps = Vec::with_capacity(order.len());
     for &v in order {
@@ -188,10 +176,7 @@ fn build_schedule(
         }
         steps.push(wl.make_step(v, gather, var_dims)?);
     }
-    Ok(Schedule {
-        steps,
-        num_slots: wl.num_slots(),
-    })
+    Ok(steps)
 }
 
 /// The cached symbolic artifact of variable elimination (module docs).
@@ -205,7 +190,7 @@ pub struct SolvePlan {
     order: Vec<VarId>,
     var_dims: Arc<Vec<usize>>,
     num_base_factors: usize,
-    schedule: Schedule,
+    steps: Vec<PlanStep>,
     /// Arena layout of the schedule (see [`crate::workspace`]).
     layout: WorkspaceLayout,
     /// Estimated numeric-phase flops (from the structural panel shapes).
@@ -259,9 +244,8 @@ impl SolvePlan {
                 return Err(SolveError::UnknownVariable(*v));
             }
         }
-        let schedule = build_schedule(&var_dims, factor_keys, factor_rows, order)?;
-        let step_view: Vec<_> = schedule
-            .steps
+        let steps = build_schedule(&var_dims, factor_keys, factor_rows, order)?;
+        let step_view: Vec<_> = steps
             .iter()
             .map(|s| {
                 (
@@ -286,8 +270,7 @@ impl SolvePlan {
         // 2 · rows · width · min(width, rows) multiply–adds, plus one
         // panel's worth of gather traffic. Shapes are symbolic (row
         // bounds), so this is an upper estimate.
-        let flops = schedule
-            .steps
+        let flops = steps
             .iter()
             .map(|s| {
                 let rows = s.rows as u64;
@@ -300,7 +283,7 @@ impl SolvePlan {
             order: order.to_vec(),
             var_dims: Arc::new(var_dims),
             num_base_factors: factor_keys.len(),
-            schedule,
+            steps,
             layout,
             flops,
         })
@@ -324,11 +307,7 @@ impl SolvePlan {
     /// Structural `(rows, cols)` of every elimination sub-problem, in
     /// elimination order — the plan-time preview of the Fig. 17 samples.
     pub fn step_shapes(&self) -> Vec<(usize, usize)> {
-        self.schedule
-            .steps
-            .iter()
-            .map(|s| (s.rows, s.cols))
-            .collect()
+        self.steps.iter().map(|s| (s.rows, s.cols)).collect()
     }
 
     /// Estimated numeric-phase flops, derived from the structural panel
@@ -345,8 +324,10 @@ impl SolvePlan {
         sys.factors.len() == self.num_base_factors && sys.var_dims == *self.var_dims
     }
 
-    /// Numeric phase: eliminates `sys` along the precomputed schedule,
-    /// bitwise identical to [`eliminate`](crate::elimination::eliminate).
+    /// Allocating elimination of `sys` along the plan's order: the
+    /// plan-less sweep behind [`eliminate`](crate::elimination::eliminate),
+    /// after checking that `sys` has the planned shape. Iterating callers
+    /// use the arena ([`SolvePlan::solve_in`]) instead.
     ///
     /// # Errors
     /// [`SolveError::PlanMismatch`] when `sys`'s shape differs from the
@@ -360,14 +341,7 @@ impl SolvePlan {
             self.fingerprint,
             "plan/system structure fingerprints diverge"
         );
-        let (conditionals, steps) = self.run_reference(sys)?;
-        Ok((
-            BayesNet {
-                conditionals,
-                var_dims: (*self.var_dims).clone(),
-            },
-            EliminationStats { steps },
-        ))
+        eliminate_order(sys, &self.order)
     }
 
     /// Allocates a reusable [`Workspace`] sized for this plan's arena
@@ -388,7 +362,8 @@ impl SolvePlan {
     ///
     /// The one exception is the rare run where a planned separator factor
     /// sheds every row numerically — the executor then falls back to the
-    /// allocating reference path (still bitwise identical).
+    /// allocating plan-less sweep over the plan's order (still bitwise
+    /// identical).
     ///
     /// # Errors
     /// [`SolveError::PlanMismatch`] when `sys` or `ws` do not belong to
@@ -407,15 +382,9 @@ impl SolvePlan {
                 Ok(&ws.delta)
             }
             Err(ArenaError::Fallback) => {
-                let (conditionals, stats) = self.run_reference(sys)?;
-                let bn = BayesNet {
-                    conditionals,
-                    var_dims: (*self.var_dims).clone(),
-                };
-                let delta = bn.back_substitute()?;
-                ws.stats.clear();
-                ws.stats.extend(stats);
-                ws.delta = delta;
+                let (bn, stats) = eliminate_order(sys, &self.order)?;
+                ws.delta = bn.back_substitute()?;
+                ws.stats = stats.steps;
                 Ok(&ws.delta)
             }
             Err(ArenaError::Solve(e)) => Err(e),
@@ -464,81 +433,12 @@ impl SolvePlan {
                 },
             )),
             Err(ArenaError::Fallback) => {
-                let (conditionals, steps) = self.run_reference(sys)?;
-                ws.stats.clear();
-                ws.stats.extend(steps.iter().cloned());
-                Ok((
-                    BayesNet {
-                        conditionals,
-                        var_dims: (*self.var_dims).clone(),
-                    },
-                    EliminationStats { steps },
-                ))
+                let (bn, stats) = eliminate_order(sys, &self.order)?;
+                ws.stats.clone_from(&stats.steps);
+                Ok((bn, stats))
             }
             Err(ArenaError::Solve(e)) => Err(e),
         }
-    }
-
-    /// Allocating numeric sweep over the schedule — the reference path
-    /// behind [`SolvePlan::execute`] and the arena fallback.
-    #[allow(clippy::type_complexity)]
-    fn run_reference(
-        &self,
-        sys: &LinearSystem,
-    ) -> Result<(Vec<Conditional>, Vec<crate::elimination::EliminationStep>), SolveError> {
-        let mut work = base_worklist(sys, self.schedule.num_slots);
-        let mut conditionals = Vec::with_capacity(self.schedule.steps.len());
-        let mut stats = Vec::with_capacity(self.schedule.steps.len());
-        for step in &self.schedule.steps {
-            let gathered = gather_live(&mut work, &step.gather);
-            if gathered.is_empty() {
-                return Err(SolveError::UnconstrainedVariable(step.var));
-            }
-            let (cond, new_factor, st) = if gathered.len() == step.gather.len() {
-                // Every planned slot is numerically present: the symbolic
-                // separator layout is exact, skip re-deriving it.
-                eliminate_step_with_seps(step.var, &gathered, &self.var_dims, step.seps.clone())?
-            } else {
-                // A separator factor shed all its rows upstream; fall back
-                // to deriving the layout from what was actually gathered —
-                // exactly what the plan-less path stacks.
-                eliminate_step(step.var, &gathered, &self.var_dims)?
-            };
-            conditionals.push(cond);
-            stats.push(st);
-            store_new_factor(&mut work, step, new_factor);
-        }
-        Ok((conditionals, stats))
-    }
-}
-
-/// Numeric work-list: base factors in their planned slots, reserved
-/// separator slots empty until their producing step fills them.
-fn base_worklist(sys: &LinearSystem, num_slots: usize) -> Vec<Option<Arc<LinearFactor>>> {
-    let mut work: Vec<Option<Arc<LinearFactor>>> = Vec::with_capacity(num_slots);
-    work.extend(sys.factors.iter().map(|f| Some(Arc::new(f.clone()))));
-    work.resize(num_slots, None);
-    work
-}
-
-/// Takes the numerically-present factors of a gather list, preserving
-/// plan order. Slots whose separator factor shed every row hold `None`
-/// and are skipped — exactly as the plan-less path never created them.
-fn gather_live(work: &mut [Option<Arc<LinearFactor>>], gather: &[usize]) -> Vec<Arc<LinearFactor>> {
-    gather.iter().filter_map(|&s| work[s].take()).collect()
-}
-
-fn store_new_factor(
-    work: &mut [Option<Arc<LinearFactor>>],
-    step: &PlanStep,
-    new_factor: Option<LinearFactor>,
-) {
-    match (step.new_slot, new_factor) {
-        (Some(slot), nf) => work[slot] = nf.map(Arc::new),
-        (None, nf) => debug_assert!(
-            nf.is_none(),
-            "step produced a separator factor without a reserved slot"
-        ),
     }
 }
 
@@ -711,6 +611,78 @@ impl PlanCache {
     /// True when no plan is stored.
     pub fn is_empty(&self) -> bool {
         self.plans.is_empty()
+    }
+}
+
+/// Where an optimizer loop gets its plan and workspace.
+pub(crate) enum PlanSource<'a> {
+    /// Acquired from a cache on the first solve — so a graph that starts
+    /// converged never builds a plan — and parked back by
+    /// [`PlanSource::park`].
+    Cached {
+        cache: &'a mut PlanCache,
+        tag: u8,
+        held: Option<(Arc<SolvePlan>, Workspace)>,
+    },
+    /// Checked out by the caller for the whole optimization.
+    Given(&'a SolvePlan, &'a mut Workspace),
+}
+
+impl<'a> PlanSource<'a> {
+    /// A cache-backed source keyed by ordering `tag`; nothing is looked up
+    /// until the first solve.
+    pub(crate) fn cached(cache: &'a mut PlanCache, tag: u8) -> Self {
+        PlanSource::Cached {
+            cache,
+            tag,
+            held: None,
+        }
+    }
+
+    /// Solves `sys` in the source's workspace ([`SolvePlan::solve_in`]).
+    /// A cached source first acquires its plan — consulting the cache
+    /// exactly once per optimization, building with `build` on a miss —
+    /// and checks out a workspace for it.
+    pub(crate) fn solve_in(
+        &mut self,
+        sys: &LinearSystem,
+        build: impl FnOnce() -> Result<SolvePlan, SolveError>,
+    ) -> Result<&orianna_math::Vec64, SolveError> {
+        let (plan, ws) = match self {
+            PlanSource::Given(plan, ws) => (&**plan, &mut **ws),
+            PlanSource::Cached { cache, tag, held } => {
+                if held.is_none() {
+                    let plan = cache.get_or_build(sys.structure_fingerprint(), *tag, build)?;
+                    let ws = cache.checkout_workspace(&plan, *tag);
+                    *held = Some((plan, ws));
+                }
+                let (plan, ws) = held.as_mut().expect("plan acquired above");
+                (&**plan, ws)
+            }
+        };
+        plan.solve_in(sys, ws)
+    }
+
+    /// Per-step statistics of the latest solve in the source's workspace.
+    pub(crate) fn stats(&self) -> &[crate::elimination::EliminationStep] {
+        match self {
+            PlanSource::Given(_, ws) => ws.stats(),
+            PlanSource::Cached { held, .. } => held.as_ref().map_or(&[], |(_, ws)| ws.stats()),
+        }
+    }
+
+    /// Parks a cached source's workspace for the next solve over the same
+    /// topology. Called whether or not the optimization succeeded, so a
+    /// failing solve never leaks its arena.
+    pub(crate) fn park(self) {
+        if let PlanSource::Cached {
+            cache,
+            tag,
+            held: Some((plan, ws)),
+        } = self
+        {
+            cache.store_workspace(plan.fingerprint(), tag, ws);
+        }
     }
 }
 
@@ -997,6 +969,71 @@ mod tests {
         let cloned = ws.clone();
         assert_ne!(ws.id(), cloned.id());
         assert_eq!(ws.fingerprint(), cloned.fingerprint());
+    }
+
+    /// Hand-built system whose first step sheds every separator row:
+    /// x0's prior and a factor `[3I | 0]` on (x0, x1) with an RHS in the
+    /// column space of its x0 block leave nothing for x1, so the arena
+    /// executor must fall back. Every path must still agree bitwise.
+    #[test]
+    fn arena_fallback_matches_every_path() {
+        use orianna_math::{Mat, Vec64};
+        let prior = |v: usize, rhs: [f64; 2]| LinearFactor {
+            keys: vec![VarId(v)],
+            blocks: vec![Mat::identity(2)],
+            rhs: Vec64::from_slice(&rhs),
+        };
+        let sys = LinearSystem {
+            factors: vec![
+                prior(0, [1.0, 2.0]),
+                LinearFactor {
+                    keys: vec![VarId(0), VarId(1)],
+                    blocks: vec![Mat::identity(2).scale(3.0), Mat::zeros(2, 2)],
+                    rhs: Vec64::from_slice(&[3.0, 6.0]),
+                },
+                prior(1, [0.5, -1.0]),
+            ],
+            var_dims: vec![2, 2],
+        };
+        let ordering = orianna_graph::Ordering::from_order(vec![VarId(0), VarId(1)]);
+        let plan = SolvePlan::for_system(&sys, ordering.as_slice()).unwrap();
+        let mut ws = plan.workspace();
+        assert!(
+            matches!(
+                plan.layout.eliminate_in(&sys, &mut ws),
+                Err(ArenaError::Fallback)
+            ),
+            "the arena pass must hit the fallback arm"
+        );
+
+        let (bn_ref, st_ref) = eliminate(&sys, &ordering).unwrap();
+        let delta_ref = bn_ref.back_substitute().unwrap();
+        assert!((delta_ref[0] - 1.0).abs() < 1e-12 && (delta_ref[3] + 1.0).abs() < 1e-12);
+        assert_eq!(st_ref.steps.len(), 2);
+        assert_eq!(st_ref.steps[1].gathered, 1, "x1 sees only its prior");
+
+        let delta = plan.solve_in(&sys, &mut ws).unwrap().clone();
+        assert_eq!(delta.as_slice(), delta_ref.as_slice());
+        assert_eq!(ws.stats(), st_ref.steps.as_slice());
+
+        let mut ws = plan.workspace();
+        let (bn_in, st_in) = plan.execute_in(&sys, &mut ws).unwrap();
+        assert_eq!(st_in.steps, st_ref.steps);
+        assert_eq!(ws.stats(), st_ref.steps.as_slice());
+        let (bn_ex, st_ex) = plan.execute(&sys).unwrap();
+        assert_eq!(st_ex.steps, st_ref.steps);
+        for bn in [&bn_in, &bn_ex] {
+            assert_eq!(
+                bn.back_substitute().unwrap().as_slice(),
+                delta_ref.as_slice()
+            );
+            for (a, b) in bn.conditionals.iter().zip(&bn_ref.conditionals) {
+                assert_eq!(a.var, b.var);
+                assert_eq!(a.r.as_slice(), b.r.as_slice());
+                assert_eq!(a.rhs.as_slice(), b.rhs.as_slice());
+                assert_eq!(a.parents.len(), b.parents.len());
+            }
+        }
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //! One rare case cannot be served from the arena: when a producing step
 //! sheds *every* separator row numerically, the plan-less path re-derives a
 //! smaller separator layout for the consumer. The executor detects this
-//! ([`ArenaError::Fallback`]) and the caller re-runs the allocating
-//! reference path, preserving bitwise identity at the cost of allocations
-//! for that solve only.
+//! ([`ArenaError::Fallback`]) and the caller re-runs the solve through the
+//! plan-less allocating sweep over the plan's order, preserving bitwise
+//! identity at the cost of allocations for that solve only.
 
 use crate::elimination::{Conditional, EliminationStep, SolveError};
 use orianna_graph::{LinearSystem, VarId};
@@ -113,9 +113,9 @@ pub(crate) struct WorkspaceLayout {
 pub(crate) enum ArenaError {
     /// A planned separator factor shed every row; the separator layout of
     /// a downstream step no longer matches the symbolic one. Re-run the
-    /// allocating reference path.
+    /// plan-less allocating sweep.
     Fallback,
-    /// A genuine solve failure (same as the reference path would report).
+    /// A genuine solve failure (same as the plan-less sweep would report).
     Solve(SolveError),
 }
 
@@ -322,7 +322,7 @@ impl WorkspaceLayout {
                     if live == 0 {
                         // The producer shed every row: the plan-less path
                         // would re-derive a smaller separator layout here.
-                        // Bail to the reference path.
+                        // Bail to the plan-less sweep.
                         return Err(ArenaError::Fallback);
                     }
                     let pp = &self.panels[*step];
