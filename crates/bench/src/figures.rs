@@ -748,6 +748,31 @@ mod tests {
         }
     }
 
+    /// The Fig. 16c claim: the generated design is the smallest of the
+    /// three in every resource, and VANILLA-HLS sits between it and
+    /// STACK (checked for every application, not only the printed
+    /// quadrotor configuration).
+    #[test]
+    fn fig16c_resources_order_orianna_vanilla_stack() {
+        for e in evals() {
+            let ori = e.generated.config.resources();
+            let van = vanilla_hls_resources(&ori);
+            let stk = &e.stack.resources;
+            for (name, o, v, s) in [
+                ("LUT", ori.lut, van.lut, stk.lut),
+                ("FF", ori.ff, van.ff, stk.ff),
+                ("BRAM", ori.bram, van.bram, stk.bram),
+                ("DSP", ori.dsp, van.dsp, stk.dsp),
+            ] {
+                assert!(
+                    o <= v && v <= s,
+                    "{}: {name} ORIANNA {o} / VANILLA-HLS {v} / STACK {s}",
+                    e.name
+                );
+            }
+        }
+    }
+
     #[test]
     fn fig17_18_shape_holds() {
         let evals = evals();

@@ -3,15 +3,19 @@
 
 use crate::templates::{unit_resources, Resources};
 use orianna_compiler::UnitClass;
-use std::collections::BTreeMap;
 
 /// Operating frequency of the paper's prototype (Sec. 7.1).
 pub const CLOCK_MHZ: f64 = 167.0;
 
 /// A generated accelerator configuration: unit counts per class.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The counts live in a flat array indexed by [`UnitClass::index`], so
+/// copying a configuration, [`Self::plus_one`] and [`Self::resources`]
+/// never touch the heap — the DSE loops build and score thousands of
+/// candidates per search. Every class always holds at least one unit.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HwConfig {
-    counts: BTreeMap<UnitClass, usize>,
+    counts: [usize; UnitClass::COUNT],
     /// Clock frequency in MHz.
     pub clock_mhz: f64,
 }
@@ -27,55 +31,57 @@ impl HwConfig {
     /// "at first, only one computation unit is instantiated for each
     /// matrix operation block").
     pub fn minimal() -> Self {
-        let mut counts = BTreeMap::new();
-        for c in UnitClass::ALL {
-            counts.insert(c, 1);
-        }
         Self {
-            counts,
+            counts: [1; UnitClass::COUNT],
             clock_mhz: CLOCK_MHZ,
         }
     }
 
     /// Builds a configuration from explicit counts (classes not mentioned
-    /// get one unit).
+    /// get one unit; a count of zero is raised to one; a class mentioned
+    /// twice keeps its last count).
     pub fn with_counts(pairs: &[(UnitClass, usize)]) -> Self {
         let mut cfg = Self::minimal();
         for (c, n) in pairs {
-            cfg.counts.insert(*c, (*n).max(1));
+            cfg.counts[c.index()] = (*n).max(1);
         }
         cfg
     }
 
     /// Unit count of a class.
     pub fn count(&self, class: UnitClass) -> usize {
-        *self.counts.get(&class).unwrap_or(&1)
+        self.counts[class.index()]
+    }
+
+    /// Unit counts in [`UnitClass::ALL`] order.
+    pub fn counts(&self) -> [usize; UnitClass::COUNT] {
+        self.counts
     }
 
     /// Adds one unit of a class, returning the new configuration.
     pub fn plus_one(&self, class: UnitClass) -> HwConfig {
-        let mut c = self.clone();
-        *c.counts.entry(class).or_insert(1) += 1;
+        let mut c = *self;
+        c.counts[class.index()] += 1;
         c
     }
 
     /// Total unit count.
     pub fn total_units(&self) -> usize {
-        self.counts.values().sum()
+        self.counts.iter().sum()
     }
 
     /// Total resource consumption of the configuration.
     pub fn resources(&self) -> Resources {
         let mut total = Resources::default();
-        for (c, n) in &self.counts {
-            total = total.plus(&unit_resources(*c).times(*n as u64));
+        for (c, n) in self.iter() {
+            total = total.plus(&unit_resources(c).times(n as u64));
         }
         total
     }
 
-    /// Iterator over `(class, count)` pairs in stable order.
+    /// Iterator over `(class, count)` pairs in [`UnitClass::ALL`] order.
     pub fn iter(&self) -> impl Iterator<Item = (UnitClass, usize)> + '_ {
-        self.counts.iter().map(|(c, n)| (*c, *n))
+        UnitClass::ALL.into_iter().zip(self.counts)
     }
 }
 
@@ -105,6 +111,19 @@ mod tests {
         let more = HwConfig::minimal().plus_one(UnitClass::Qr).resources();
         assert!(more.lut > base.lut);
         assert!(more.dsp > base.dsp);
+    }
+
+    #[test]
+    fn with_counts_clamps_and_keeps_class_order() {
+        let c = HwConfig::with_counts(&[
+            (UnitClass::BackSub, 3),
+            (UnitClass::Vector, 0),
+            (UnitClass::BackSub, 5),
+        ]);
+        assert_eq!(c.counts(), [1, 1, 1, 1, 1, 5]);
+        let classes: Vec<UnitClass> = c.iter().map(|(cl, _)| cl).collect();
+        assert_eq!(classes, UnitClass::ALL);
+        assert_eq!(c.total_units(), 10);
     }
 
     #[test]

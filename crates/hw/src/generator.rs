@@ -14,6 +14,7 @@
 //! objective.
 
 use crate::config::HwConfig;
+use crate::search::{canon_key, CanonKey};
 use crate::sim::{
     simulate_decoded_with, with_sim_scratch, DecodedWorkload, IssuePolicy, SimReport, SimScratch,
     Workload,
@@ -21,6 +22,7 @@ use crate::sim::{
 use crate::templates::Resources;
 use orianna_compiler::UnitClass;
 use orianna_math::{par::scoped_workers, Parallelism};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -52,11 +54,13 @@ pub(crate) fn score(report: &SimReport, objective: Objective) -> f64 {
     }
 }
 
-/// Memoization key: the configuration's full unit mix, clock, and policy.
-type SimKey = (Vec<(UnitClass, usize)>, u64, IssuePolicy);
+/// Memoization key: the configuration's canonical key (full unit mix and
+/// clock) and the policy — fixed-size and `Copy`, so a memo probe never
+/// allocates.
+type SimKey = (CanonKey, IssuePolicy);
 
 fn sim_key(config: &HwConfig, policy: IssuePolicy) -> SimKey {
-    (config.iter().collect(), config.clock_mhz.to_bits(), policy)
+    (canon_key(config), policy)
 }
 
 /// How [`DseContext::sweep`] treats candidates it can prove irrelevant.
@@ -175,6 +179,17 @@ fn selection_key(
     )
 }
 
+/// Candidate indices of one batch, split by [`DseContext::split_by_memo`].
+#[derive(Default)]
+struct MemoSplit {
+    /// Memoized candidates and their reports.
+    hits: Vec<(usize, SimReport)>,
+    /// First occurrences of unmemoized configurations, in list order.
+    todo: Vec<usize>,
+    /// `(index, first index)` for later copies of a `todo` configuration.
+    copies: Vec<(usize, usize)>,
+}
+
 /// A design-space-exploration context over one workload: the decoded
 /// instruction graph ([`DecodedWorkload`]) plus a memo of every simulated
 /// `(configuration, policy)` pair.
@@ -248,19 +263,17 @@ impl DseContext {
     /// Simulates every configuration under the out-of-order policy,
     /// walking uncached ones in parallel with one scratch per worker, and
     /// returns reports in input order. Equivalent to calling
-    /// [`Self::simulate`] once per config, at any thread count.
+    /// [`Self::simulate`] once per config, at any thread count: a
+    /// configuration repeated within `configs` is walked once and its
+    /// later copies count as memo hits.
     pub fn simulate_many(&mut self, configs: &[HwConfig]) -> Vec<SimReport> {
         self.calls += configs.len();
-        let mut out: Vec<Option<SimReport>> = configs
-            .iter()
-            .map(|c| {
-                self.cache
-                    .get(&sim_key(c, IssuePolicy::OutOfOrder))
-                    .cloned()
-            })
-            .collect();
-        self.hits += out.iter().filter(|r| r.is_some()).count();
-        let todo: Vec<usize> = (0..configs.len()).filter(|&i| out[i].is_none()).collect();
+        let mut out: Vec<Option<SimReport>> = vec![None; configs.len()];
+        let MemoSplit { hits, todo, copies } = self.split_by_memo(configs, 0..configs.len());
+        for (i, report) in hits {
+            out[i] = Some(report);
+        }
+        self.hits += configs.len() - todo.len();
         if !todo.is_empty() {
             let decoded = &self.decoded;
             let cursor = AtomicUsize::new(0);
@@ -303,6 +316,9 @@ impl DseContext {
                 out[i] = Some(report);
             }
         }
+        for (i, first) in copies {
+            out[i] = out[first].clone();
+        }
         out.into_iter()
             .map(|r| r.expect("every config evaluated"))
             .collect()
@@ -330,23 +346,17 @@ impl DseContext {
             .collect();
         let skipped_budget = candidates.len() - feasible.len();
 
-        // Memo lookups; cached reports seed the dominance set for free.
-        let mut reports: HashMap<usize, SimReport> = HashMap::new();
-        let mut todo: Vec<usize> = Vec::new();
-        let mut seed: Vec<(u64, f64, Resources)> = Vec::new();
-        for &i in &feasible {
-            match self
-                .cache
-                .get(&sim_key(&candidates[i], IssuePolicy::OutOfOrder))
-            {
-                Some(r) => {
-                    seed.push((r.cycles, r.energy_mj, candidates[i].resources()));
-                    reports.insert(i, r.clone());
-                }
-                None => todo.push(i),
-            }
-        }
-        let cache_hits = reports.len();
+        // Memo lookups; cached reports seed the dominance set for free. A
+        // candidate repeated within the list is walked (or bound-skipped)
+        // once: its later copies share the first copy's outcome.
+        let MemoSplit { hits, todo, copies } =
+            self.split_by_memo(candidates, feasible.iter().copied());
+        let seed: Vec<(u64, f64, Resources)> = hits
+            .iter()
+            .map(|(i, r)| (r.cycles, r.energy_mj, candidates[*i].resources()))
+            .collect();
+        let mut cache_hits = hits.len();
+        let mut reports: HashMap<usize, SimReport> = hits.into_iter().collect();
 
         // Admissible lower-bound point per unscored candidate: cycles
         // from the decoded graph's critical path and per-class work,
@@ -416,8 +426,7 @@ impl DseContext {
         .flatten()
         .collect();
 
-        let skipped_bound = skips.into_inner();
-        self.skipped_bound += skipped_bound;
+        let mut skipped_bound = skips.into_inner();
         // Deterministic memo/frontier merge: candidate order, never
         // completion order.
         fresh.sort_by_key(|(i, _)| *i);
@@ -430,13 +439,23 @@ impl DseContext {
             Self::insert_frontier(&mut self.frontier, &candidates[i], &report);
             reports.insert(i, report);
         }
+        for (i, first) in copies {
+            match reports.get(&first).cloned() {
+                Some(report) => {
+                    reports.insert(i, report);
+                    cache_hits += 1;
+                }
+                None => skipped_bound += 1,
+            }
+        }
+        self.skipped_bound += skipped_bound;
         self.calls += cache_hits + evaluated;
         self.hits += cache_hits;
         let best = reports
             .iter()
             .map(|(&i, r)| (selection_key(&candidates[i], r, objective, i), i))
             .min()
-            .map(|(_, i)| (candidates[i].clone(), reports[&i].clone()));
+            .map(|(_, i)| (candidates[i], reports[&i].clone()));
         SweepReport {
             best,
             evaluated,
@@ -446,9 +465,36 @@ impl DseContext {
         }
     }
 
+    /// Splits the candidates at `indices` into memo hits, first
+    /// occurrences that need a scoreboard walk, and later copies of a
+    /// first occurrence within the same list.
+    fn split_by_memo(
+        &self,
+        configs: &[HwConfig],
+        indices: impl Iterator<Item = usize>,
+    ) -> MemoSplit {
+        let mut split = MemoSplit::default();
+        let mut first_of: HashMap<SimKey, usize> = HashMap::new();
+        for i in indices {
+            let key = sim_key(&configs[i], IssuePolicy::OutOfOrder);
+            if let Some(r) = self.cache.get(&key) {
+                split.hits.push((i, r.clone()));
+            } else {
+                match first_of.entry(key) {
+                    Entry::Occupied(first) => split.copies.push((i, *first.get())),
+                    Entry::Vacant(slot) => {
+                        slot.insert(i);
+                        split.todo.push(i);
+                    }
+                }
+            }
+        }
+        split
+    }
+
     fn insert_frontier(frontier: &mut Vec<ParetoPoint>, config: &HwConfig, report: &SimReport) {
         let pt = ParetoPoint {
-            config: config.clone(),
+            config: *config,
             cycles: report.cycles,
             energy_mj: report.energy_mj,
             resources: config.resources(),
@@ -459,7 +505,7 @@ impl DseContext {
         frontier.retain(|q| !pt.dominates(q));
         // Deterministic resting order regardless of insertion order: the
         // full coordinate vector, then the unit mix.
-        let key = |p: &ParetoPoint| (p.coords(), p.config.iter().collect::<Vec<_>>());
+        let key = |p: &ParetoPoint| (p.coords(), p.config.counts());
         let k = key(&pt);
         match frontier.binary_search_by(|q| key(q).cmp(&k)) {
             Ok(_) => {} // same config re-scored — already present
@@ -864,11 +910,16 @@ mod tests {
                 "bound pruning never fired over {} candidates",
                 grid.len()
             );
+            // The ladder's first rung and the grid's first point are both
+            // the minimal design: its second copy is a memo hit, not a
+            // second walk.
+            assert_eq!(pruned.cache_hits, 1);
             assert_eq!(
-                pruned.evaluated + pruned.skipped_bound + pruned.skipped_budget,
+                pruned.evaluated + pruned.cache_hits + pruned.skipped_bound + pruned.skipped_budget,
                 grid.len()
             );
             assert_eq!(pruned_ctx.bound_skips(), pruned.skipped_bound);
+            assert_eq!(pruned_ctx.cache_misses(), pruned_ctx.memo_len());
         }
     }
 
@@ -922,6 +973,56 @@ mod tests {
         // The sweep winner under Latency is the frontier's fastest point.
         let fastest = frontier.iter().map(|p| p.cycles).min().unwrap();
         assert_eq!(frontier[0].cycles, fastest);
+    }
+
+    /// A configuration repeated within one `simulate_many` or `sweep`
+    /// call is walked once; its copies are memo hits with the same report.
+    #[test]
+    fn repeated_candidates_are_walked_once() {
+        let prog = workload_program();
+        let wl = Workload::single("loc", &prog);
+        let a = HwConfig::minimal();
+        let b = a.plus_one(UnitClass::Qr);
+        let c = b.plus_one(UnitClass::MatMul);
+        let list = [a, b, a, c, b, a];
+        for threads in [1, 2] {
+            let mut ctx = DseContext::with_parallelism(&wl, Parallelism::with_threads(threads));
+            let got = ctx.simulate_many(&list);
+            assert_eq!(ctx.sim_calls(), list.len());
+            assert_eq!(ctx.cache_hits(), 3, "{threads} threads");
+            assert_eq!(ctx.cache_misses(), ctx.memo_len());
+            assert_eq!(ctx.memo_len(), 3);
+            for (config, report) in list.iter().zip(&got) {
+                let want = simulate(&wl, config, IssuePolicy::OutOfOrder);
+                assert_eq!(report.cycles, want.cycles);
+                assert_eq!(report.energy_mj.to_bits(), want.energy_mj.to_bits());
+                assert_eq!(report.contention, want.contention);
+            }
+
+            for mode in [SweepMode::Exhaustive, SweepMode::Pruned] {
+                let mut grid = uniform_ladder(6);
+                grid.extend(uniform_ladder(6));
+                grid.extend(candidate_grid());
+                let mut unique = uniform_ladder(6);
+                unique.extend(candidate_grid().into_iter().skip(1));
+                let budget = unconstrained();
+                let mut ctx = DseContext::with_parallelism(&wl, Parallelism::with_threads(threads));
+                let got = ctx.sweep(&grid, &budget, Objective::Latency, mode);
+                let mut fresh = DseContext::with_parallelism(&wl, Parallelism::serial());
+                let want = fresh.sweep(&unique, &budget, Objective::Latency, mode);
+                let label = format!("{threads} threads, {mode:?}");
+                assert_same_outcome(&want, &got, &label);
+                assert_eq!(ctx.frontier(), fresh.frontier(), "{label}: frontier");
+                assert_eq!(got.evaluated, want.evaluated, "{label}: walks");
+                assert_eq!(
+                    got.evaluated + got.cache_hits + got.skipped_bound + got.skipped_budget,
+                    grid.len(),
+                    "{label}: dispositions"
+                );
+                assert_eq!(ctx.cache_misses(), ctx.memo_len(), "{label}: memo");
+                assert_eq!(ctx.bound_skips(), got.skipped_bound, "{label}: skips");
+            }
+        }
     }
 
     #[test]

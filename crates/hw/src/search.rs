@@ -69,14 +69,22 @@ impl SplitMix64 {
     }
 }
 
-/// Canonical identity of a configuration: the full unit mix in stable
-/// class order plus the clock bits. Two configurations compare equal
-/// under this key iff the simulator cannot distinguish them.
-pub type CanonKey = (Vec<(UnitClass, usize)>, u64);
+/// Canonical identity of a configuration: the unit count of every class
+/// in [`UnitClass::ALL`] order, then the clock bits. Two configurations
+/// compare equal under this key iff the simulator cannot distinguish them.
+/// A fixed-size `Copy` array, so building, hashing and comparing a key
+/// never allocates; keys order by the counts class by class, then by the
+/// clock.
+pub type CanonKey = [u64; UnitClass::COUNT + 1];
 
 /// The canonical key of a configuration (dedup identity).
 pub fn canon_key(config: &HwConfig) -> CanonKey {
-    (config.iter().collect(), config.clock_mhz.to_bits())
+    let mut key = [0u64; UnitClass::COUNT + 1];
+    for (k, n) in key.iter_mut().zip(config.counts()) {
+        *k = n as u64;
+    }
+    key[UnitClass::COUNT] = config.clock_mhz.to_bits();
+    key
 }
 
 /// FNV-1a hash of the canonical key — the compact trial-log fingerprint.
@@ -94,6 +102,14 @@ pub fn canonical_hash(config: &HwConfig) -> u64 {
     }
     eat(config.clock_mhz.to_bits());
     h
+}
+
+/// `config` with one class's count replaced by `count` (other classes
+/// kept, clock reset to the default like [`HwConfig::with_counts`]).
+fn with_class_count(config: &HwConfig, class: UnitClass, count: usize) -> HwConfig {
+    HwConfig::with_counts(
+        &UnitClass::ALL.map(|c| (c, if c == class { count } else { config.count(c) })),
+    )
 }
 
 /// A bounded grid of unit mixes: every class replicated between 1 and a
@@ -183,13 +199,7 @@ impl SearchSpace {
         for class in UnitClass::ALL {
             let n = config.count(class);
             if n > 1 {
-                let mut c = config.clone();
-                let pairs: Vec<(UnitClass, usize)> = c
-                    .iter()
-                    .map(|(cl, k)| (cl, if cl == class { n - 1 } else { k }))
-                    .collect();
-                c = HwConfig::with_counts(&pairs);
-                out.push(c);
+                out.push(with_class_count(config, class, n - 1));
             }
             if n < self.max[class.index()] {
                 out.push(config.plus_one(class));
@@ -442,12 +452,16 @@ impl WorkloadSet {
     /// Folds per-workload scores (workload order) into the aggregate.
     pub fn aggregate(&self, per: &[f64]) -> f64 {
         debug_assert_eq!(per.len(), self.entries.len());
+        self.fold(per.iter().copied())
+    }
+
+    /// [`Self::aggregate`] over a stream of per-workload scores, in
+    /// workload order (the same operations in the same order, so the
+    /// same bits).
+    fn fold(&self, per: impl Iterator<Item = f64>) -> f64 {
         match self.combine {
-            Combine::Max => per.iter().copied().fold(0.0, f64::max),
-            Combine::WeightedSum => per
-                .iter()
-                .zip(&self.weights)
-                .fold(0.0, |acc, (s, w)| acc + w * s),
+            Combine::Max => per.fold(0.0, f64::max),
+            Combine::WeightedSum => per.zip(&self.weights).fold(0.0, |acc, (s, w)| acc + w * s),
         }
     }
 
@@ -463,18 +477,13 @@ impl WorkloadSet {
     /// admissible, so a candidate whose aggregate bound meets the
     /// incumbent can be gated without simulation.
     pub fn bound_score(&self, config: &HwConfig) -> f64 {
-        let per: Vec<f64> = self
-            .entries
-            .iter()
-            .map(|(_, ctx)| {
-                let lb = ctx.decoded().lower_bound_cycles(config);
-                match self.objective {
-                    Objective::Latency => lb as f64,
-                    Objective::Energy => ctx.decoded().energy_mj_at(config, lb),
-                }
-            })
-            .collect();
-        self.aggregate(&per)
+        self.fold(self.entries.iter().map(|(_, ctx)| {
+            let lb = ctx.decoded().lower_bound_cycles(config);
+            match self.objective {
+                Objective::Latency => lb as f64,
+                Objective::Energy => ctx.decoded().energy_mj_at(config, lb),
+            }
+        }))
     }
 
     /// Evaluates every configuration in every workload through the
@@ -573,7 +582,7 @@ impl EvolutionProposer {
 
     fn mutate(&mut self, parent: &HwConfig, space: &SearchSpace) -> HwConfig {
         let steps = 1 + self.rng.below(2);
-        let mut child = parent.clone();
+        let mut child = *parent;
         for _ in 0..steps {
             let class = UnitClass::ALL[self.rng.below(UnitClass::COUNT)];
             let n = child.count(class);
@@ -583,11 +592,7 @@ impl EvolutionProposer {
             } else {
                 n.saturating_sub(1).max(1)
             };
-            let pairs: Vec<(UnitClass, usize)> = child
-                .iter()
-                .map(|(cl, k)| (cl, if cl == class { next } else { k }))
-                .collect();
-            child = HwConfig::with_counts(&pairs);
+            child = with_class_count(&child, class, next);
         }
         child
     }
@@ -636,11 +641,9 @@ impl Proposer for EvolutionProposer {
                                 best = Some(t);
                             }
                         }
-                        best.expect("tournament over non-empty window")
-                            .config
-                            .clone()
+                        best.expect("tournament over non-empty window").config
                     } else if !frontier_pool.is_empty() {
-                        frontier_pool[self.rng.below(frontier_pool.len())].clone()
+                        *frontier_pool[self.rng.below(frontier_pool.len())]
                     } else {
                         ctx.space.random(&mut self.rng)
                     };
@@ -708,28 +711,47 @@ impl Proposer for BoundGuidedProposer {
     }
 
     fn propose(&mut self, n: usize, ctx: &ProposerCtx<'_>) -> Vec<HwConfig> {
-        let pool: Vec<HwConfig> = if ctx.space.size() <= self.enum_cap {
-            ctx.space.enumerate()
-        } else {
-            (0..n.saturating_mul(self.oversample))
-                .map(|_| ctx.space.random(&mut self.rng))
-                .collect()
-        };
-        let mut fresh: Vec<(u64, CanonKey, HwConfig)> = Vec::new();
-        let mut batch: HashSet<CanonKey> = HashSet::new();
-        for c in pool {
-            let key = canon_key(&c);
-            if ctx.seen.contains(&key) || batch.contains(&key) {
-                continue;
-            }
-            if !c.resources().fits(ctx.budget) {
-                continue;
-            }
-            batch.insert(key.clone());
-            fresh.push(((ctx.bound)(&c).to_bits(), key, c));
+        if n == 0 {
+            return Vec::new();
         }
-        fresh.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-        fresh.into_iter().take(n).map(|(_, _, c)| c).collect()
+        // Every fresh, in-budget candidate keyed by `(bound bits, key)`.
+        // Keys are unique within `fresh`, so selecting the `n` smallest
+        // and sorting only those yields exactly the first `n` of a full
+        // sort.
+        type Ranked = (u64, CanonKey, HwConfig);
+        let mut fresh: Vec<Ranked> = Vec::new();
+        let consider = |c: HwConfig, key: CanonKey, fresh: &mut Vec<Ranked>| {
+            let keep = !ctx.seen.contains(&key) && c.resources().fits(ctx.budget);
+            if keep {
+                fresh.push(((ctx.bound)(&c).to_bits(), key, c));
+            }
+            keep
+        };
+        let size = ctx.space.size();
+        if size <= self.enum_cap {
+            // Enumeration yields distinct configurations: no batch dedup.
+            fresh.reserve(size as usize);
+            for i in 0..size {
+                let c = ctx.space.config_at(i);
+                consider(c, canon_key(&c), &mut fresh);
+            }
+        } else {
+            let mut batch: HashSet<CanonKey> = HashSet::new();
+            for _ in 0..n.saturating_mul(self.oversample) {
+                let c = ctx.space.random(&mut self.rng);
+                let key = canon_key(&c);
+                if !batch.contains(&key) && consider(c, key, &mut fresh) {
+                    batch.insert(key);
+                }
+            }
+        }
+        let rank = |a: &Ranked, b: &Ranked| (a.0, a.1).cmp(&(b.0, b.1));
+        if fresh.len() > n {
+            fresh.select_nth_unstable_by(n - 1, rank);
+            fresh.truncate(n);
+        }
+        fresh.sort_unstable_by(rank);
+        fresh.into_iter().map(|(_, _, c)| c).collect()
     }
 }
 
@@ -912,7 +934,7 @@ pub fn search(
                 .is_none_or(|b| trial_key(config, agg) < trial_key(&b.config, b.score));
             if better {
                 *best = Some(SearchBest {
-                    config: config.clone(),
+                    config: *config,
                     score: agg,
                     per_workload: per_workload.clone(),
                 });
@@ -922,7 +944,7 @@ pub fn search(
                 round,
                 phase,
                 proposer,
-                config: config.clone(),
+                config: *config,
                 hash: canonical_hash(config),
                 per_workload,
                 score: agg,
@@ -1018,7 +1040,7 @@ pub fn search(
                         round: round + 1,
                         phase: TrialPhase::Search,
                         proposer: proposer_name,
-                        config: c.clone(),
+                        config: c,
                         hash: canonical_hash(&c),
                         per_workload: Vec::new(),
                         score: bound,
@@ -1071,10 +1093,10 @@ pub fn search(
             with_key.sort_by(|a, b| (&a.1, a.0.id).cmp(&(&b.1, b.0.id)));
             let mut taken: HashSet<CanonKey> = HashSet::new();
             for (t, k) in with_key {
-                if !taken.insert(k.5.clone()) {
+                if !taken.insert(k.5) {
                     continue;
                 }
-                tops.push(t.config.clone());
+                tops.push(t.config);
                 if tops.len() == cfg.polish_top_k.max(1) {
                     break;
                 }
@@ -1151,7 +1173,7 @@ pub fn search(
                     if w.as_ref().is_none_or(|b| key < b.key) {
                         w = Some(PolishBest {
                             key,
-                            config: config.clone(),
+                            config: *config,
                             per_workload: pw,
                             score: agg,
                         });
@@ -1187,16 +1209,9 @@ pub fn search(
                 let center = incumbent
                     .as_ref()
                     .expect("incumbent set before descent")
-                    .config
-                    .clone();
+                    .config;
                 let line: Vec<HwConfig> = (1..=space.max_of(class))
-                    .map(|k| {
-                        let pairs: Vec<(UnitClass, usize)> = center
-                            .iter()
-                            .map(|(cl, n)| (cl, if cl == class { k } else { n }))
-                            .collect();
-                        HwConfig::with_counts(&pairs)
-                    })
+                    .map(|k| with_class_count(&center, class, k))
                     .filter(|c| {
                         let key = canon_key(c);
                         if in_neigh.contains(&key) || !c.resources().fits(budget) {
@@ -1234,7 +1249,7 @@ pub fn search(
                 } else {
                     "polish-eval"
                 },
-                config: inc.config.clone(),
+                config: inc.config,
                 hash: canonical_hash(&inc.config),
                 per_workload: inc.per_workload.clone(),
                 score: inc.score,

@@ -480,13 +480,15 @@ pub fn try_simulate_decoded(
 ///
 /// A DSE sweep scoreboards one decoded workload against hundreds of
 /// candidate configurations; holding the per-instruction finish times and the
-/// per-class unit pools here lets every evaluation after the first run
+/// unit free times here lets every evaluation after the first run
 /// without heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct SimScratch {
     finish: Vec<u64>,
-    /// Unit free-times per class, indexed by [`UnitClass::index`].
-    pools: Vec<Vec<u64>>,
+    /// Free time of every unit instance, all classes in one flat array:
+    /// class `c`'s units occupy a contiguous range in [`UnitClass::ALL`]
+    /// order (offsets are recomputed from the configuration per walk).
+    free: Vec<u64>,
 }
 
 /// Runs `f` with this thread's persistent [`SimScratch`].
@@ -570,18 +572,22 @@ pub fn simulate_decoded_with(
             // List scheduling in the decoded issue order — one linear
             // sweep, since every dependence points at an earlier
             // position. Each class has `count` units whose free times
-            // live in a flat pool (unit counts are small, so a linear
-            // min-scan beats a heap). The order is topological and fixed
-            // per workload (never per configuration), so every
-            // instruction's ready time and the pool free-time multisets
-            // are monotone in unit counts — adding a unit can never slow
-            // the schedule down (no Graham anomalies).
-            scratch.pools.resize(UnitClass::COUNT, Vec::new());
+            // live in one contiguous range of a flat array (unit counts
+            // are small, so a linear min-scan beats a heap). The order is
+            // topological and fixed per workload (never per
+            // configuration), so every instruction's ready time and the
+            // pool free-time multisets are monotone in unit counts —
+            // adding a unit can never slow the schedule down (no Graham
+            // anomalies).
+            let mut offset = [0usize; UnitClass::COUNT + 1];
             for c in UnitClass::ALL {
-                let pool = &mut scratch.pools[c.index()];
-                pool.clear();
-                pool.resize(config.count(c), 0);
+                // `HwConfig` guarantees ≥ 1 unit per class; the clamp
+                // keeps every range non-empty regardless.
+                offset[c.index() + 1] = offset[c.index()] + config.count(c).max(1);
             }
+            let free = &mut scratch.free;
+            free.clear();
+            free.resize(offset[UnitClass::COUNT], 0);
             for p in 0..n {
                 let ready = decoded
                     .deps_of(p)
@@ -591,24 +597,20 @@ pub fn simulate_decoded_with(
                     .unwrap_or(0);
                 let lat = decoded.lat[p];
                 let c = decoded.class[p].index();
-                let pool = &mut scratch.pools[c];
-                // Every class has a non-empty pool (`HwConfig` guarantees
-                // ≥ 1 unit per class); fall back benignly instead of
-                // panicking if that invariant is ever violated.
-                let start = if pool.is_empty() {
-                    pool.push(ready + lat);
-                    ready
-                } else {
-                    let mut mi = 0;
-                    for (i, &f) in pool.iter().enumerate().skip(1) {
-                        if f < pool[mi] {
-                            mi = i;
-                        }
-                    }
-                    let start = ready.max(pool[mi]);
-                    pool[mi] = start + lat;
-                    start
-                };
+                let pool = &mut free[offset[c]..offset[c + 1]];
+                // Branchless min-scan: the selects compile to conditional
+                // moves, so the unpredictable free-time comparisons cost
+                // no mispredictions. Which of several equally free units
+                // takes the instruction does not matter — only the
+                // free-time multiset shapes the schedule.
+                let (mut mi, mut mf) = (0, pool[0]);
+                for (i, &f) in pool.iter().enumerate().skip(1) {
+                    let earlier = f < mf;
+                    mi = if earlier { i } else { mi };
+                    mf = if earlier { f } else { mf };
+                }
+                let start = ready.max(mf);
+                pool[mi] = start + lat;
                 let end = start + lat;
                 finish[p] = end;
                 makespan = makespan.max(end);

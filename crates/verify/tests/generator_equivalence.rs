@@ -71,7 +71,7 @@ fn generate_eager(
             }
             round.push((class, candidate));
         }
-        let cands: Vec<HwConfig> = round.iter().map(|(_, c)| c.clone()).collect();
+        let cands: Vec<HwConfig> = round.iter().map(|(_, c)| *c).collect();
         let cand_reports = ctx.simulate_many(&cands);
         let mut improved = false;
         for ((class, candidate), cand_report) in round.into_iter().zip(cand_reports) {
